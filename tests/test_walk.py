@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -262,6 +263,31 @@ class TestSimulate:
         three = walk.simulate_terminal(params, 300, 500, seed=42, threads=3)
         assert np.array_equal(one, two)
         assert np.array_equal(one, three)
+
+    # SHA-256 of the float64 output: any change to the simulator that moves
+    # a single bit of any sample fails here
+    @pytest.mark.parametrize(
+        "a, q_first, n, count, seed, threads, digest",
+        [
+            (0.75, 1.0, 300, 500, 11, 1,
+             "9482ad1ec1313f7e2b164c1844e8ecefd0f76ce9cd15b74f99f95f0e839792b0"),
+            # two chunks (15000 + 1000 trajectories), so threads = 3 splits the work
+            (0.8, 0.5, 2000, 16_000, 12, 1,
+             "49ff68f7ecab6ee96ae60f5667a6553ef11c3c743169ccb76d2f2316f62fefb9"),
+            (0.8, 0.5, 2000, 16_000, 12, 3,
+             "49ff68f7ecab6ee96ae60f5667a6553ef11c3c743169ccb76d2f2316f62fefb9"),
+            # a walk longer than 2**16 steps
+            (0.9, 0.3, 70_000, 3, 13, 1,
+             "70a74fcbc5536dfdb702ccf7c2041f7a8f8470a8956dbd88c14fb3cfc95429a1"),
+            (0.8, 0.5, 1, 9, 14, 1,
+             "f754fd9be7e66581f9a60052fdb591aed6b784b45fca373f6fac4b74f7d05442"),
+        ],
+    )
+    def test_golden_sha256(self, a, q_first, n, count, seed, threads, digest):
+        params = walk.ErwParams.from_a(a, q_first=q_first)
+        out = walk.simulate_terminal(params, n, count, seed=seed, threads=threads)
+        assert out.dtype == np.float64 and out.shape == (count,)
+        assert hashlib.sha256(out.tobytes()).hexdigest() == digest
 
     def test_seed_changes_output(self):
         params = walk.ErwParams(p=0.9)
