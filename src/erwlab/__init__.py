@@ -59,6 +59,7 @@ from .walk import (
     evolution_drift,
     iter_rows,
     log_concavity_root,
+    row_at,
     scaled_density,
     simulate_terminal,
 )

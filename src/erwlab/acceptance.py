@@ -294,7 +294,7 @@ def c09_monte_carlo(threads=None):
             ok = ok and pull2 < 3.0
 
         short = walk.simulate_terminal(params, 200, count, seed=20_250_000 + i, threads=threads)
-        row = walk.evolve_distribution(params, 200)[-1]
+        row = walk.row_at(params, 200)
         # scale atoms with params.a so sample and atom floats match exactly
         atoms = row.scaled_support(params.a)
         exact_cdf = np.cumsum(row.probs)

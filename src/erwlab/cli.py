@@ -42,19 +42,31 @@ def _add_param_opts(sp, with_q=True):
 
 
 def _grid(spec):
-    lo, hi, points = spec.split(",")
-    lo, hi, points = float(lo), float(hi), int(points)
+    try:
+        lo, hi, points = spec.split(",")
+        lo, hi, points = float(lo), float(hi), int(points)
+    except ValueError:
+        raise SystemExit2(f"grid must be lo,hi,points, got {spec!r}") from None
     if not (lo < hi and points >= 2):
         raise SystemExit2("grid must be lo,hi,points with lo < hi and points >= 2")
     return np.linspace(lo, hi, points)
 
 
+def _threads(args):
+    try:
+        return walk.resolve_threads(args.threads)
+    except ValueError as exc:
+        raise SystemExit2(str(exc)) from None
+
+
 def cmd_dist(args):
     params = _params_from(args)
-    rows = walk.evolve_distribution(params, args.n_max)
-    selected = rows if args.all_rows else rows[-1:]
+    if args.all_rows:
+        rows = walk.iter_rows(params, args.n_max)
+    else:
+        rows = [walk.row_at(params, args.n_max)]
     out = []
-    for row in selected:
+    for row in rows:
         for k, prob in zip(range(row.k_lo, row.k_lo + len(row.probs)), row.probs):
             out.append((row.n, k, 2 * k - row.n, float(prob)))
     write_csv(
@@ -94,7 +106,7 @@ def cmd_shape(args):
 def cmd_simulate(args):
     params = _params_from(args)
     samples = walk.simulate_terminal(
-        params, args.n, args.count, seed=args.seed, threads=args.threads
+        params, args.n, args.count, seed=args.seed, threads=_threads(args)
     )
     meta = {
         "command": "simulate",
@@ -195,7 +207,7 @@ def cmd_tails(args):
     a = args.a
     ctx = moments.context(a)
     params = walk.ErwParams.from_a(a, q_first=args.q)
-    row = walk.evolve_distribution(params, args.n)[-1]
+    row = walk.row_at(params, args.n)
     density = walk.scaled_density(row, a, kind="step")
     grid = _grid(args.grid) if args.grid else np.linspace(0.5, 4.5, 33)
     rows = []
@@ -249,10 +261,11 @@ def cmd_specfun(args):
 
 
 def cmd_check(args):
+    threads = _threads(args)
     ctx = moments.context(args.a)
     print(f"# context a={fmt(ctx.a)} rho={fmt(ctx.rho)} kappa={fmt(ctx.kappa)} "
           f"delta={fmt(ctx.delta)} c_pos={fmt(ctx.c_pos)} c_neg={fmt(ctx.c_neg)}")
-    results = acceptance.run_all(threads=args.threads)
+    results = acceptance.run_all(threads=threads)
     width = max(len(r.name) for r in results)
     failed = []
     for r in results:

@@ -155,6 +155,14 @@ def iter_rows(params, n_max):
         yield row if params.q_first == 1.0 else _mixture(row, params.q_first)
 
 
+def row_at(params, n):
+    """Row n of the exact distribution alone: the last row of iter_rows,
+    in O(n) memory."""
+    for row in iter_rows(ErwParams(p=params.p), n):
+        pass
+    return row if params.q_first == 1.0 else _mixture(row, params.q_first)
+
+
 def evolve_distribution(params, n_max):
     """Rows 1..n_max of the exact distribution as a list (see iter_rows,
     which callers needing only a few rows should consume instead)."""
@@ -297,31 +305,51 @@ def resolve_threads(threads=None):
         return max(1, int(threads))
     env = os.environ.get("ERWLAB_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"ERWLAB_THREADS must be an integer, got {env!r}") from None
     return min(4, os.cpu_count() or 1)
 
 
 def _simulate_chunk(p, q_first, n, seed, lo, hi):
     # one counter-based stream per trajectory: key = (seed, trajectory index),
-    # so results do not depend on chunking or scheduling
+    # so results do not depend on chunking or scheduling.  Step m >= 1 copies
+    # or flips step parent[m] < m, so a trajectory's steps form a tree rooted
+    # at step 0; pointer jumping resolves every step's sign relative to the
+    # root in O(log height) vectorised rounds over a block of trajectories.
     count = hi - lo
-    u_pick = np.empty((n, count))
-    u_flip = np.empty((n, count), dtype=np.float32)
-    for j in range(count):
-        gen = np.random.Generator(
-            np.random.Philox(key=np.array([seed, lo + j], dtype=np.uint64))
-        )
-        u_pick[:, j] = gen.random(n)
-        u_flip[:, j] = gen.random(n, dtype=np.float32)
-    steps = np.empty((n, count), dtype=np.int8)
-    steps[0] = np.where(u_flip[0] < q_first, 1, -1)
-    flat = steps.reshape(-1)
-    cols = np.arange(count, dtype=np.int64)
-    for m in range(1, n):
-        k = (u_pick[m] * m).astype(np.int64)
-        x = flat[k * count + cols]
-        steps[m] = np.where(u_flip[m] < p, x, -x)
-    return steps.sum(axis=0, dtype=np.int64)
+    block = max(1, min(count, 2**16 // n))
+    u_pick = np.empty((block, n))
+    u_flip = np.empty((block, n), dtype=np.float32)
+    times = np.arange(n)
+    sums = np.empty(count, dtype=np.int64)
+    for start in range(0, count, block):
+        b = min(block, count - start)
+        for j in range(b):
+            gen = np.random.Generator(
+                np.random.Philox(key=np.array([seed, lo + start + j], dtype=np.uint64))
+            )
+            gen.random(out=u_pick[j])
+            gen.random(dtype=np.float32, out=u_flip[j])
+        pick, flip = u_pick[:b], u_flip[:b]
+        pick *= times
+        parent = pick.astype(np.intp)
+        parent += (np.arange(b) * n)[:, None]
+        parent = parent.reshape(-1)
+        sign = np.where(flip < p, np.int8(1), np.int8(-1))
+        sign[:, 0] = 1
+        first = np.where(flip[:, 0] < q_first, 1, -1)
+        sign = sign.reshape(-1)
+        # invariant: step[m] = sign[m] * step[parent[m]]; a root is its own parent
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            sign *= sign[parent]
+            parent = up
+        sums[start : start + b] = first * sign.reshape(b, n).sum(axis=1, dtype=np.int64)
+    return sums
 
 
 def simulate_terminal(params, n, count, seed, threads=None, step_budget=2**31):
@@ -329,8 +357,16 @@ def simulate_terminal(params, n, count, seed, threads=None, step_budget=2**31):
     definition (uniform pick over the stored step history).
 
     Deterministic for fixed (seed, count, n): trajectory i consumes only
-    its own Philox stream keyed by (seed, i).  Output is ordered by
-    trajectory index regardless of thread scheduling.
+    its own Philox stream keyed by (seed, i), first n float64 picks, then
+    n float32 flips.  Output is ordered by trajectory index regardless of
+    thread scheduling.
+
+    Each worker evaluates its trajectories in blocks of
+    max(1, 2**16 // n): step m picks the earlier step floor(u_m * m), so a
+    trajectory's steps form a recursive tree, and pointer jumping gives
+    every step its sign relative to the first step in a few vectorised
+    rounds (about log2 of the tree height).  A worker holds about 50 bytes
+    per step of one block: about 3 MB for n <= 2**16, 50 n bytes above.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -342,6 +378,8 @@ def simulate_terminal(params, n, count, seed, threads=None, step_budget=2**31):
         )
     seed = int(seed) & 0xFFFFFFFFFFFFFFFF
     workers = resolve_threads(threads)
+    # scheduling granularity only: a worker's memory is set by its block
+    # (see _simulate_chunk), not by the chunk
     chunk = max(64, min(count, 30_000_000 // max(n, 1)))
     bounds = [(lo, min(lo + chunk, count)) for lo in range(0, count, chunk)]
     sums = np.empty(count, dtype=np.int64)

@@ -137,6 +137,25 @@ def test_usage_errors_exit_two():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("grid", ["1,2", "0.6,0.9,x", "0.6,0.9,4.5", "0.6,0.7,0.8,3"])
+def test_malformed_grid_exits_two(grid, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["rho", "--grid", grid])
+    assert exc.value.code == 2
+    assert "grid must be lo,hi,points" in capsys.readouterr().err
+
+
+def test_bad_thread_env_exits_two(monkeypatch, capsys):
+    monkeypatch.setenv("ERWLAB_THREADS", "abc")
+    with pytest.raises(SystemExit) as exc:
+        run(["simulate", "--p", "0.9", "--n", "10", "--count", "5", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "ERWLAB_THREADS" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run(["check"])
+    assert exc.value.code == 2
+
+
 def test_numeric_failure_exits_one(capsys):
     # a outside the superdiffusive window is a numeric failure, not usage
     assert run(["moments", "--a", "0.4", "--n-max", "10"]) == 1

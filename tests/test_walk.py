@@ -32,6 +32,31 @@ def brute_force_terminal(p, n, q_first=1.0):
     return dist
 
 
+def _simulate_chunk_reference(p, q_first, n, seed, lo, hi):
+    """Terminal sums of trajectories lo..hi-1 by the time-major loop: every
+    trajectory of the chunk advances one step at a time, each step copying
+    or flipping an entry of the full (n, count) step history.  This is the
+    simulator's former kernel, kept as the oracle for _simulate_chunk."""
+    count = hi - lo
+    u_pick = np.empty((n, count))
+    u_flip = np.empty((n, count), dtype=np.float32)
+    for j in range(count):
+        gen = np.random.Generator(
+            np.random.Philox(key=np.array([seed, lo + j], dtype=np.uint64))
+        )
+        u_pick[:, j] = gen.random(n)
+        u_flip[:, j] = gen.random(n, dtype=np.float32)
+    steps = np.empty((n, count), dtype=np.int8)
+    steps[0] = np.where(u_flip[0] < q_first, 1, -1)
+    flat = steps.reshape(-1)
+    cols = np.arange(count, dtype=np.int64)
+    for m in range(1, n):
+        k = (u_pick[m] * m).astype(np.int64)
+        x = flat[k * count + cols]
+        steps[m] = np.where(u_flip[m] < p, x, -x)
+    return steps.sum(axis=0, dtype=np.int64)
+
+
 def exact_mean(params, n):
     """E[S_n] by the product recursion E[S_{m+1}] = (1 + a/m) E[S_m]."""
     mean = 2.0 * params.q_first - 1.0
@@ -138,9 +163,19 @@ class TestEvolve:
             assert s.probs.dtype == l.probs.dtype == np.float64
             assert s.probs.tobytes() == l.probs.tobytes() == r.tobytes()
 
+    @pytest.mark.parametrize("p, q_first, n", [(0.875, 1.0, 200), (0.8, 0.4, 57), (0.3, 0.0, 1)])
+    def test_row_at_is_last_streamed_row(self, p, q_first, n):
+        params = walk.ErwParams(p=p, q_first=q_first)
+        last = walk.evolve_distribution(params, n)[-1]
+        row = walk.row_at(params, n)
+        assert (row.n, row.k_lo) == (last.n, last.k_lo)
+        assert row.probs.tobytes() == last.probs.tobytes()
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             walk.evolve_distribution(walk.ErwParams(p=0.8), 0)
+        with pytest.raises(ValueError):
+            walk.row_at(walk.ErwParams(p=0.8), 0)
         with pytest.raises(ValueError):
             next(walk.iter_rows(walk.ErwParams(p=0.8), 0))
         with pytest.raises(ValueError):
@@ -276,7 +311,7 @@ class TestSimulate:
              "49ff68f7ecab6ee96ae60f5667a6553ef11c3c743169ccb76d2f2316f62fefb9"),
             (0.8, 0.5, 2000, 16_000, 12, 3,
              "49ff68f7ecab6ee96ae60f5667a6553ef11c3c743169ccb76d2f2316f62fefb9"),
-            # a walk longer than 2**16 steps
+            # a walk longer than 2**16 steps: one trajectory per block
             (0.9, 0.3, 70_000, 3, 13, 1,
              "70a74fcbc5536dfdb702ccf7c2041f7a8f8470a8956dbd88c14fb3cfc95429a1"),
             (0.8, 0.5, 1, 9, 14, 1,
@@ -288,6 +323,23 @@ class TestSimulate:
         out = walk.simulate_terminal(params, n, count, seed=seed, threads=threads)
         assert out.dtype == np.float64 and out.shape == (count,)
         assert hashlib.sha256(out.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "p, q_first, n, lo, hi",
+        [
+            (0.9, 1.0, 300, 0, 500),  # blocks of 218: 218 + 218 + 64
+            (0.8, 0.3, 300, 7, 443),  # exactly two blocks, offset stream keys
+            (0.75, 0.0, 50, 0, 100),  # one block, smaller than 2**16 // n
+            (1.0, 0.5, 2000, 5, 75),  # blocks of 32: 32 + 32 + 6
+            (0.0, 1.0, 17, 0, 10),
+            (0.6, 0.5, 1, 3, 40),
+        ],
+    )
+    def test_chunk_matches_reference_loop(self, p, q_first, n, lo, hi):
+        got = walk._simulate_chunk(p, q_first, n, 99, lo, hi)
+        ref = _simulate_chunk_reference(p, q_first, n, 99, lo, hi)
+        assert got.dtype == ref.dtype == np.int64
+        assert got.tobytes() == ref.tobytes()
 
     def test_seed_changes_output(self):
         params = walk.ErwParams(p=0.9)
