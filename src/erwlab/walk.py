@@ -314,10 +314,8 @@ def resolve_threads(threads=None):
 
 def _simulate_chunk(p, q_first, n, seed, lo, hi):
     # one counter-based stream per trajectory: key = (seed, trajectory index),
-    # so results do not depend on chunking or scheduling.  Step m >= 1 copies
-    # or flips step parent[m] < m, so a trajectory's steps form a tree rooted
-    # at step 0; pointer jumping resolves every step's sign relative to the
-    # root in O(log height) vectorised rounds over a block of trajectories.
+    # so results do not depend on chunking or scheduling; each block of
+    # trajectories is resolved by pointer jumping (see simulate_terminal)
     count = hi - lo
     block = max(1, min(count, 2**16 // n))
     u_pick = np.empty((block, n))

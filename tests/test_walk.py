@@ -311,7 +311,7 @@ class TestSimulate:
              "49ff68f7ecab6ee96ae60f5667a6553ef11c3c743169ccb76d2f2316f62fefb9"),
             (0.8, 0.5, 2000, 16_000, 12, 3,
              "49ff68f7ecab6ee96ae60f5667a6553ef11c3c743169ccb76d2f2316f62fefb9"),
-            # a walk longer than 2**16 steps: one trajectory per block
+            # a walk longer than 2**16 steps
             (0.9, 0.3, 70_000, 3, 13, 1,
              "70a74fcbc5536dfdb702ccf7c2041f7a8f8470a8956dbd88c14fb3cfc95429a1"),
             (0.8, 0.5, 1, 9, 14, 1,
