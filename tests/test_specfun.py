@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import mpmath as mp
@@ -87,6 +88,26 @@ class TestHyp2F1:
         b, c, z = 1.3, 2.1, 0.7
         expect = 1.0 - 2.0 * b / c * z + b * (b + 1.0) / (c * (c + 1.0)) * z * z
         assert_allclose(specfun.hyp2f1(-2.0, b, c, z).value, expect, rtol=1e-14)
+
+    def test_sha256_pin(self):
+        # value, error estimate and term count, bit for bit, on both sides
+        # of the Pfaff switch at z = -1/2 and for terminating series
+        a = 0.75
+        params = (
+            (0.5, -0.75, 0.25),
+            (1.0, 1.0, 2.0),
+            (0.5, 0.5 + 0.5 / a, 1.5 + 0.5 / a),
+            (0.5, -0.5 / 0.6, 1.0 - 0.5 / 0.6),
+            (-2.0, 1.3, 2.1),
+            (-3.0, 0.7, 1.9),
+        )
+        zs = (-25.0, -4.0, -1.0, -0.6, -0.5000001, -0.5, -0.4999999, -0.3, 0.0, 0.4, 0.7, 0.9)
+        h = hashlib.sha256()
+        for abc in params:
+            for z in zs:
+                ev = specfun.hyp2f1(*abc, z)
+                h.update(f"{ev.value.hex()} {ev.abs_error_estimate.hex()} {ev.terms_used}\n".encode())
+        assert h.hexdigest() == "40d6d8323835e3e5131b758475d10894887b42a2df405f44cce2ca248cc03c20"
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -220,6 +241,22 @@ class TestFKernel:
             for m in ("quadrature", "series", "hypergeometric")
         ]
         assert max(vals) - min(vals) < 1e-9
+
+    @pytest.mark.parametrize("a", [0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95])
+    def test_series_against_mpmath(self, a):
+        # F(z) = z^(-1-1/a)/(a+1) 2F1(1/2, 1/2+1/(2a); 3/2+1/(2a); -1/z^2)
+        worst = 0.0
+        for z in np.geomspace(1.02, 200.0, 40):
+            z = float(z)
+            with mp.workdps(40):
+                b = mp.mpf(1) / 2 + 1 / (2 * mp.mpf(a))
+                ref = float(
+                    mp.mpf(z) ** (-1 - 1 / mp.mpf(a)) / (mp.mpf(a) + 1)
+                    * mp.hyp2f1(mp.mpf(1) / 2, b, b + 1, -1 / mp.mpf(z) ** 2)
+                )
+            got = specfun.f_eval(a, z, method="series").value
+            worst = max(worst, abs(got / ref - 1.0))
+        assert worst <= 4e-15
 
     def test_small_z_limit(self):
         # F(z) - z^(-1/a) -> -rho^(1/a); the gap closes like z^(2-1/a)
