@@ -32,7 +32,6 @@ from .moments import (
     limit_moment,
     limit_moment_ln,
     moment_sequence,
-    moment_sequence_raw,
     rho,
     rho_integral,
 )
@@ -55,7 +54,6 @@ from .walk import (
     StepDensity,
     check_shape,
     evolve_distribution,
-    evolve_q_exact,
     evolution_drift,
     iter_rows,
     log_concavity_root,

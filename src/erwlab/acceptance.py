@@ -79,8 +79,7 @@ def c03_shape_theorems():
     t0 = time.perf_counter()
     all_unimodal = True
     for p in np.arange(0.60, 0.951, 0.05):
-        rows = walk.evolve_distribution(walk.ErwParams(p=float(p)), 500)
-        for row in rows:
+        for row in walk.iter_rows(walk.ErwParams(p=float(p)), 500):
             if not walk.check_shape(row).unimodal:
                 all_unimodal = False
                 break
@@ -89,8 +88,7 @@ def c03_shape_theorems():
     roots_ok = all(abs(r - t) < 5e-5 for r, t in zip(roots, targets))
 
     def n3_log_concave(a):
-        rows = walk.evolve_distribution(walk.ErwParams(p=(1 + a) / 2), 3)
-        return walk.check_shape(rows[2]).log_concave
+        return walk.check_shape(walk.row_at(walk.ErwParams(p=(1 + a) / 2), 3)).log_concave
 
     flip_ok = n3_log_concave(roots[0] - 1e-4) and not n3_log_concave(roots[0] + 1e-4)
     ok = all_unimodal and roots_ok and flip_ok

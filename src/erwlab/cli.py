@@ -80,12 +80,11 @@ def cmd_dist(args):
 
 def cmd_shape(args):
     params = _params_from(args)
-    rows = walk.evolve_distribution(params, args.n_max)
-    out = []
-    for row in rows:
-        rep = walk.check_shape(row)
-        out.append(
-            (
+
+    def reports():
+        for row in walk.iter_rows(params, args.n_max):
+            rep = walk.check_shape(row)
+            yield (
                 row.n,
                 rep.unimodal,
                 rep.mode_lo,
@@ -93,11 +92,11 @@ def cmd_shape(args):
                 rep.log_concave,
                 rep.first_violation if rep.first_violation is not None else "",
             )
-        )
+
     write_csv(
         args.out,
         ("n", "unimodal", "mode_lo", "mode_hi", "log_concave", "first_violation"),
-        out,
+        reports(),
         meta={"command": "shape", "p": params.p, "q_first": params.q_first, "n_max": args.n_max},
     )
     return 0
@@ -235,7 +234,7 @@ def cmd_specfun(args):
     p = args.params or []
     try:
         if args.fn == "gamma_ln":
-            out = {"value": specfun.gamma_ln(args.z), "method": "lanczos"}
+            out = {"value": specfun.gamma_ln(args.z), "method": "lgamma"}
         elif args.fn == "digamma":
             out = {"value": specfun.digamma(args.z), "method": "asymptotic"}
         elif args.fn == "hyp2f1":

@@ -24,12 +24,10 @@ import numpy as np
 
 from .errors import CancellationError, SeriesOverflowError
 from .moments import moment_sequence, rho
-from .specfun import f_eval, f_inverse, gamma_ln
+from .specfun import _CANCEL_BUDGET, _EPS, f_eval, f_inverse, gamma_ln, rho_root
 
-_EPS = 2.220446049250313e-16
 _H_FIRST = _EPS ** (1.0 / 3.0)
 _H_SECOND = _EPS**0.25
-_CANCEL_BUDGET = 1e-6
 
 # double-precision cap for negative arguments, in units of rho_a
 _NEG_CAP_DOUBLE = 30.0
@@ -102,8 +100,7 @@ def genfun(a, x):
     r = rho(a)
     if not (0.0 < x < 1.0 / r - 1e-12):
         raise ValueError(f"genfun requires 0 < x < 1/rho - 1e-12, got x={x!r}")
-    rr = r ** (1.0 / a)
-    g = f_inverse(a, x ** (-1.0 / a) - rr)
+    g = f_inverse(a, x ** (-1.0 / a) - rho_root(a))
     ratio = g / x
     b = x * ratio ** ((a + 1.0) / a)
     a_even = ratio ** (1.0 / a) * math.sqrt(1.0 + g * g)

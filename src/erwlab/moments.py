@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import QuadratureError, SeriesOverflowError
 from .quadrature import integrate
-from .specfun import gamma_ln, poch_ln
+from .specfun import gamma_ln, poch_ln, rho_root
 
 # m_2 = a/(2a-1) blows up at the diffusive boundary; the artifact refuses
 # to operate closer than this
@@ -40,9 +40,7 @@ def rho(a):
     """Exponential growth rate of {m_n} (Gamma-product form), a > 1/2."""
     if not (0.5 < a <= 10.0):
         raise ValueError(f"rho requires a in (1/2, 10], got {a!r}")
-    return math.exp(
-        a * (gamma_ln(0.5 + 0.5 / a) + gamma_ln(1.0 - 0.5 / a) - 0.5 * math.log(math.pi))
-    )
+    return rho_root(a) ** a
 
 
 def rho_integral(a):
@@ -124,21 +122,6 @@ def moment_sequence(a, n_max):
         mt[n] = s / (n * a - c[n])
         cm[n] = c[n] * mt[n]
     return MomentTable(a=a, n_max=n_max, rho=r, scaled=mt)
-
-
-def moment_sequence_raw(a, n_max):
-    """Unscaled recurrence in plain doubles (overflows factorially; the
-    dual route for the scaling-identity tests, usable to n ~ 50)."""
-    _check_a(a)
-    m = np.empty(n_max + 1)
-    m[0] = 1.0
-    m[1] = 1.0
-    c = np.where(np.arange(n_max + 1) % 2 == 0, 1.0, a)
-    cm = c * m
-    for n in range(2, n_max + 1):
-        m[n] = np.dot(cm[1:n], m[n - 1:0:-1]) / (n * a - c[n])
-        cm[n] = c[n] * m[n]
-    return m
 
 
 def limit_moment_ln(a, n, table=None):

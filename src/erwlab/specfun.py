@@ -2,8 +2,8 @@
 
 Everything here is scalar double-precision with explicit error reporting:
 
-* ``gamma_ln`` / ``digamma`` via a 15-term Lanczos approximation and the
-  shifted Bernoulli series (relative error below 1e-13 on (0, 200]);
+* ``gamma_ln`` (``math.lgamma`` behind a domain check) and ``digamma``
+  (the shifted Bernoulli series, relative error below 1e-13 on (0, 200]);
 * the Gauss hypergeometric series ``hyp2f1`` with the Pfaff transform
   z -> z/(z-1) for arguments left of -1/2;
 * the Mittag-Leffler function E_alpha(z) = sum z^n / Gamma(1+alpha n) and
@@ -12,7 +12,9 @@ Everything here is scalar double-precision with explicit error reporting:
   switching to the leading exponential asymptote once z^(1/alpha) > 35;
 * the decreasing kernel
   F(z) = (1/a) * int_z^inf du / (u^(1+1/a) sqrt(1+u^2))
-  in three mutually checked regimes, and its compositional inverse.
+  in three mutually checked regimes, and its compositional inverse.  Both
+  series regimes are 2F1 forms evaluated by ``hyp2f1``: an ascending one
+  in z^2 and a descending one in 1/z^2; quadrature is the third.
 
 Evaluators that sum a series return a SeriesEval carrying the value, an
 error estimate (first omitted term plus a cancellation bound), the number
@@ -58,40 +60,11 @@ class SeriesEval:
 # ---------------------------------------------------------------------------
 # log-Gamma, digamma, Pochhammer
 
-# Lanczos g = 607/128, 15 coefficients (Godfrey's table).
-_LANCZOS_G = 4.7421875
-_LANCZOS_C = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
 def gamma_ln(x):
     """log Gamma(x) for x > 0."""
     if not (x > 0.0) or not math.isfinite(x):
         raise ValueError(f"gamma_ln requires x > 0, got {x!r}")
-    if x < 0.5:
-        # reflection keeps the Lanczos argument away from the pole
-        return math.log(math.pi / math.sin(math.pi * x)) - gamma_ln(1.0 - x)
-    acc = _LANCZOS_C[0]
-    for k in range(1, 15):
-        acc += _LANCZOS_C[k] / (x - 1.0 + k)
-    t = x + _LANCZOS_G - 0.5
-    return _HALF_LOG_2PI + (x - 0.5) * math.log(t) - t + math.log(acc)
+    return math.lgamma(x)
 
 
 # Bernoulli B_{2k}/(2k) tail coefficients of the digamma asymptotic series
@@ -395,27 +368,13 @@ def _f_quadrature(a, z):
 
 
 def _f_series(a, z):
-    # descending series, valid for z > 1
-    inv_a = 1.0 / a
-    c = 1.0
-    total = 0.0
-    comp = 0.0
-    abs_sum = 0.0
-    n = 0
-    zm2 = z ** (-2.0)
-    while n < _MAX_TERMS:
-        term = c / (1.0 + a + 2.0 * a * n)
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        abs_sum += abs(term)
-        if abs(term) <= _TERM_CUT * abs(total) and n >= 3:
-            scale = z ** (-(1.0 + inv_a))
-            return SeriesEval(scale * (total + comp), scale * (abs(term) + _EPS * abs_sum), n + 1, "series")
-        c *= -(0.5 + n) / (n + 1.0) * zm2
-        n += 1
-    raise ConvergenceError("descending series for F stalled (is z > 1?)")
+    # descending form z^(-1-1/a)/(a+1) 2F1(1/2, b; b+1; -1/z^2), b = 1/2 + 1/(2a);
+    # hyp2f1's Pfaff transform takes over for z < sqrt(2)
+    b = 0.5 + 0.5 / a
+    h = hyp2f1(0.5, b, b + 1.0, -1.0 / (z * z))
+    scale = z ** (-1.0 - 1.0 / a) / (a + 1.0)
+    err = scale * (h.abs_error_estimate + 4 * _EPS * abs(h.value))
+    return SeriesEval(scale * h.value, err, h.terms_used, "series")
 
 
 def _f_hyp(a, z):
@@ -430,10 +389,13 @@ def _f_hyp(a, z):
 def f_eval(a, z, method="auto"):
     """F(z) = (1/a) int_z^inf du / (u^(1+1/a) sqrt(1+u^2)), a in (1/2, 1), z > 0.
 
-    method: 'auto' picks the hypergeometric form for z <= 1.1 and the
-    descending series above; 'quadrature' is the oracle-grade fallback.
-    Inside the overlap band the two series routes are cross-checked and a
-    ConsistencyError is raised if they disagree beyond 1e-8.
+    method: 'hypergeometric' (2F1 in -z^2) and 'series' (2F1 in -1/z^2,
+    which converges for every z > 0: the Pfaff transform takes over below
+    z = sqrt(2)) are the two series forms; 'quadrature' is the oracle-grade
+    fallback.  'auto' picks the hypergeometric form for z <= 1.1 and the
+    series above; inside the overlap band [1.02, 1.2] the two are
+    cross-checked and a ConsistencyError is raised if they disagree beyond
+    1e-8.
     """
     if not (0.5 < a < 1.0):
         raise ValueError("f_eval requires a in (1/2, 1)")

@@ -17,7 +17,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -170,36 +169,14 @@ def evolve_distribution(params, n_max):
 
 
 def evolution_drift(params, n_max):
-    """Max |sum - 1| of a row right after the recurrence step (before the
-    renormalisation evolve_distribution applies)."""
-    probs = np.array([1.0])
-    worst = 0.0
-    for n in range(1, n_max):
-        probs = _advance(probs, n, params.p)
-        worst = max(worst, abs(probs.sum() - 1.0))
-        probs /= probs.sum()
-    return worst
-
-
-def evolve_q_exact(p, n_max):
-    """Exact rational triangular array Q(n, k) = (n-1)! P(n, k) for
-    q_first = 1; p must be a Fraction.  Test oracle, n_max <= ~12."""
-    if not isinstance(p, Fraction):
-        raise TypeError("evolve_q_exact expects a Fraction memory parameter")
-    a = 2 * p - 1
-    rows = [[Fraction(1)]]
-    for n in range(1, n_max):
-        q = rows[-1]
-        nxt = []
-        for k in range(1, n + 2):
-            t = Fraction(0)
-            if k <= n:
-                t += (n * p - a * k) * q[k - 1]
-            if 1 <= k - 1 <= n:
-                t += ((1 - p) * n + a * (k - 1)) * q[k - 2]
-            nxt.append(t)
-        rows.append(nxt)
-    return rows
+    """Max |sum - 1| over the q_first = 1 rows of iter_rows, each advanced
+    once more before renormalisation; 0.0 for n_max < 2."""
+    if n_max < 2:
+        return 0.0
+    return max(
+        abs(_advance(row.probs, row.n, params.p).sum() - 1.0)
+        for row in iter_rows(ErwParams(p=params.p), n_max - 1)
+    )
 
 
 def check_shape(row):

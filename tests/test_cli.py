@@ -128,6 +128,14 @@ def test_specfun_json(tmp_path):
     assert abs(float(data["value"]) - math.e) < 1e-12
 
 
+def test_specfun_gamma_ln_method(tmp_path):
+    out = tmp_path / "gl.json"
+    assert run(["specfun", "--fn", "gamma_ln", "--z", "0.25", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["method"] == "lgamma"
+    assert abs(float(data["value"]) - math.log(3.6256099082219083)) < 1e-14
+
+
 def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         run(["dist", "--n-max", "5"])  # neither --a nor --p

@@ -57,6 +57,25 @@ def _simulate_chunk_reference(p, q_first, n, seed, lo, hi):
     return steps.sum(axis=0, dtype=np.int64)
 
 
+def evolve_q_exact(p, n_max):
+    """Exact rational triangular array Q(n, k) = (n-1)! P(n, k) for
+    q_first = 1; p must be a Fraction.  Oracle for n_max <= ~12."""
+    a = 2 * p - 1
+    rows = [[Fraction(1)]]
+    for n in range(1, n_max):
+        q = rows[-1]
+        nxt = []
+        for k in range(1, n + 2):
+            t = Fraction(0)
+            if k <= n:
+                t += (n * p - a * k) * q[k - 1]
+            if 1 <= k - 1 <= n:
+                t += ((1 - p) * n + a * (k - 1)) * q[k - 2]
+            nxt.append(t)
+        rows.append(nxt)
+    return rows
+
+
 def exact_mean(params, n):
     """E[S_n] by the product recursion E[S_{m+1}] = (1 + a/m) E[S_m]."""
     mean = 2.0 * params.q_first - 1.0
@@ -92,7 +111,7 @@ class TestEvolve:
     def test_exact_rational_consistency(self):
         # Q-recurrence in exact rationals; float rows match to a few ulps
         p = Fraction(4, 5)
-        q_rows = walk.evolve_q_exact(p, 12)
+        q_rows = evolve_q_exact(p, 12)
         f_rows = walk.evolve_distribution(walk.ErwParams(p=float(p)), 12)
         for n in (3, 8, 12):
             fact = math.factorial(n - 1)
