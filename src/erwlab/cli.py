@@ -81,8 +81,8 @@ def cmd_dist(args):
 def cmd_shape(args):
     params = _params_from(args)
 
-    def reports():
-        for row in walk.iter_rows(params, args.n_max):
+    def reports(rows):
+        for row in rows:
             rep = walk.check_shape(row)
             yield (
                 row.n,
@@ -96,7 +96,7 @@ def cmd_shape(args):
     write_csv(
         args.out,
         ("n", "unimodal", "mode_lo", "mode_hi", "log_concave", "first_violation"),
-        reports(),
+        reports(walk.iter_rows(params, args.n_max)),
         meta={"command": "shape", "p": params.p, "q_first": params.q_first, "n_max": args.n_max},
     )
     return 0

@@ -12,9 +12,8 @@ Everything here is scalar double-precision with explicit error reporting:
   switching to the leading exponential asymptote once z^(1/alpha) > 35;
 * the decreasing kernel
   F(z) = (1/a) * int_z^inf du / (u^(1+1/a) sqrt(1+u^2))
-  in three mutually checked regimes, and its compositional inverse.  Both
-  series regimes are 2F1 forms evaluated by ``hyp2f1``: an ascending one
-  in z^2 and a descending one in 1/z^2; quadrature is the third.
+  in three mutually checked regimes (2F1 forms in -z^2 and in -1/z^2, both
+  summed by ``hyp2f1``, and quadrature), and its compositional inverse.
 
 Evaluators that sum a series return a SeriesEval carrying the value, an
 error estimate (first omitted term plus a cancellation bound), the number
@@ -389,13 +388,11 @@ def _f_hyp(a, z):
 def f_eval(a, z, method="auto"):
     """F(z) = (1/a) int_z^inf du / (u^(1+1/a) sqrt(1+u^2)), a in (1/2, 1), z > 0.
 
-    method: 'hypergeometric' (2F1 in -z^2) and 'series' (2F1 in -1/z^2,
-    which converges for every z > 0: the Pfaff transform takes over below
-    z = sqrt(2)) are the two series forms; 'quadrature' is the oracle-grade
-    fallback.  'auto' picks the hypergeometric form for z <= 1.1 and the
-    series above; inside the overlap band [1.02, 1.2] the two are
-    cross-checked and a ConsistencyError is raised if they disagree beyond
-    1e-8.
+    method: 'hypergeometric' and 'series' are the 2F1 forms in -z^2 and in
+    -1/z^2 (the latter converges for every z > 0: hyp2f1's Pfaff transform
+    takes over below z = sqrt(2)); 'quadrature' is the oracle-grade fallback.
+    'auto' picks the first for z <= 1.1 and the second above, and raises
+    ConsistencyError if they disagree beyond 1e-8 on the band [1.02, 1.2].
     """
     if not (0.5 < a < 1.0):
         raise ValueError("f_eval requires a in (1/2, 1)")

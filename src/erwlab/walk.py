@@ -141,10 +141,15 @@ def iter_rows(params, n_max):
 
     Row n has n entries for q_first = 1 and n+1 entries otherwise (the
     mixture row); every row is renormalised after the recurrence step.
-    Only the current row is held: O(n_max) memory.
+    Only the current row is held: O(n_max) memory.  A bad n_max raises
+    here, before the caller has consumed or written anything.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    return _rows(params, n_max)
+
+
+def _rows(params, n_max):
     probs = np.array([1.0])
     for n in range(1, n_max + 1):
         if n > 1:

@@ -170,6 +170,12 @@ def test_numeric_failure_exits_one(capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+def test_shape_bad_n_max_writes_nothing(tmp_path):
+    out = tmp_path / "shape.csv"
+    assert run(["shape", "--a", "0.7", "--n-max", "0", "--out", str(out)]) == 1
+    assert not out.exists()
+
+
 def test_env_thread_fallback(monkeypatch):
     from erwlab import walk
 
