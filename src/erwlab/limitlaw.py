@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import CancellationError, SeriesOverflowError
 from .moments import moment_sequence, rho
-from .specfun import _CANCEL_BUDGET, _EPS, f_eval, f_inverse, gamma_ln, rho_root
+from .specfun import _CANCEL_BUDGET, _EPS, _LOG_MAX, f_eval, f_inverse, gamma_ln, rho_root
 
 _H_FIRST = _EPS ** (1.0 / 3.0)
 _H_SECOND = _EPS**0.25
@@ -183,7 +183,9 @@ def _omega_sums(scaled, a, u):
     factored maximum so intermediate magnitudes stay representable."""
     n_max = len(scaled) - 1
     ns = np.arange(n_max + 1, dtype=float)
-    ln_b = np.log(scaled) - np.array([gamma_ln(1.0 + a * n) for n in ns])
+    ln_s = np.log(scaled)
+    ln_g = np.array([gamma_ln(1.0 + a * n) for n in ns])
+    ln_b = ln_s - ln_g
     if u == 0.0:
         b1 = math.exp(ln_b[1]) if n_max >= 1 else 0.0
         b2 = math.exp(ln_b[2]) if n_max >= 2 else 0.0
@@ -191,6 +193,10 @@ def _omega_sums(scaled, a, u):
     au = abs(u)
     ln_t = ln_b + ns * math.log(au)
     peak = float(ln_t.max())
+    if peak > _LOG_MAX:
+        raise SeriesOverflowError(
+            f"psi_mgf series at u={u:g}, a={a:g}: its largest term exp({peak:.1f}) overflows double"
+        )
     mag = np.exp(ln_t - peak)
     if u > 0.0:
         s0 = s1 = s2 = 1.0
@@ -203,7 +209,10 @@ def _omega_sums(scaled, a, u):
     w2 = float(np.dot(mag[2:] * ns[2:] * (ns[2:] - 1.0), sign[2:])) / (au * au) * s2
     scale = math.exp(peak)
     omitted = float(mag[-1]) * scale
-    loss = _EPS * float(mag.sum()) * scale
+    # each term carries its own rounding, plus that of the three logarithms
+    # it is built from, eps times their size
+    ln_size = 1.0 + np.abs(ln_s) + np.abs(ln_g) + ns * abs(math.log(au))
+    loss = _EPS * float(np.dot(mag, ln_size)) * scale
     return w0 * scale, w1 * scale, w2 * scale, omitted, loss
 
 
@@ -211,7 +220,8 @@ def psi_mgf(a, r, precision_digits=0):
     """Psi, omega, xi, eta at r.
 
     Positive r is capped by double overflow of exp((rho r)^(1/a));
-    negative r is capped at 30 rho_a in double precision and 200 rho_a in
+    negative r is capped at 30 rho_a in double precision (less where the
+    largest series term overflows, SeriesOverflowError) and 200 rho_a in
     the high-precision mode (precision_digits > 0, mpmath; cost grows
     quadratically with the series length needed).
     """

@@ -1,71 +1,42 @@
-"""Bracketed root finding: plain bisection plus a Newton-polished variant."""
+"""Bracketed root finding: one safeguarded Newton iteration."""
 
-import math
+from .errors import BracketingError, ConvergenceError
 
-from .errors import BracketingError
-
-
-def bisect(f, lo, hi, xtol=1e-10, max_iter=200):
-    """Bisection on a sign-changing bracket [lo, hi] down to width xtol."""
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise BracketingError(f"no sign change on [{lo!r}, {hi!r}]")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0 or hi - lo < xtol:
-            return mid
-        if flo * fm < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+# steps before giving up: Newton needs a handful, and pure bisection takes
+# a bracket to adjacent doubles in about 53 + log2(hi / lo) steps
+_MAX_STEPS = 100
 
 
-def bisect_newton(f, fprime, lo, hi, ftol, max_bisect=80, max_newton=30):
-    """Bisection to a rough root, then Newton refinement kept inside the bracket.
+def bisect_newton(f, fprime, lo, hi, ftol):
+    """Root x of f on a sign-changing bracket [lo, hi], with |f(x)| <= ftol.
 
-    Stops when |f(x)| <= ftol.  fprime is the analytic derivative.
+    f is evaluated once at each end, then once per step; fprime is the
+    analytic derivative.  Each step starts from the end with the smaller
+    |f| or from the last iterate, narrows the bracket by the sign of f
+    there, and takes the Newton step when it lands strictly inside the
+    bracket, the midpoint otherwise.  Raises BracketingError when f has
+    the same sign at both ends, and ConvergenceError when no point meets
+    ftol within a fixed step cap (ftol below f's rounding floor).
     """
     flo = f(lo)
     fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
     if flo * fhi > 0.0:
         raise BracketingError(f"no sign change on [{lo!r}, {hi!r}]")
-    x = 0.5 * (lo + hi)
-    for _ in range(max_bisect):
-        x = 0.5 * (lo + hi)
-        fx = f(x)
+    x, fx = (lo, flo) if abs(flo) <= abs(fhi) else (hi, fhi)
+    for _ in range(_MAX_STEPS):
         if abs(fx) <= ftol:
             return x
-        if flo * fx < 0.0:
-            hi = x
-        else:
+        if (fx < 0.0) == (flo < 0.0):
             lo, flo = x, fx
-        if (hi - lo) <= 1e-6 * (abs(x) + 1e-300):
-            break
-    for _ in range(max_newton):
-        fx = f(x)
-        if abs(fx) <= ftol:
-            return x
-        d = fprime(x)
-        if d == 0.0 or not math.isfinite(d):
-            break
-        step = fx / d
-        y = x - step
-        if not (lo <= y <= hi):
-            y = 0.5 * (lo + hi)
-        if f(lo) * f(y) < 0.0:
-            hi = y
         else:
-            lo = y
-        x = y
-    return x
+            hi = x
+        d = fprime(x)
+        # x is now an end of the bracket, so a zero, infinite or NaN
+        # slope bisects
+        y = x - fx / d if d else x
+        if not lo < y < hi:
+            y = 0.5 * (lo + hi)
+        x, fx = y, f(y)
+    raise ConvergenceError(
+        f"|f| stayed above {ftol:.3g} for {_MAX_STEPS} steps on [{lo!r}, {hi!r}]"
+    )

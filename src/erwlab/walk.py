@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketingError
-from .rootfind import bisect
+from .rootfind import bisect_newton
 
 _REL_TOL = 1e-12
 
@@ -233,7 +232,8 @@ _THRESHOLD_POLYS = (
 
 def log_concavity_root(q_index):
     """Unique root in (1/2, 1) of the hard-coded threshold polynomial
-    P_q, q_index in 0..3, bisected to 1e-10."""
+    P_q, q_index in 0..3, by Newton on (1/2, 1) to |P_q| at its rounding
+    floor, a few eps * sum |c_i| (about 1e-15 in the root)."""
     if q_index not in (0, 1, 2, 3):
         raise ValueError("q_index must be one of 0, 1, 2, 3")
     coeffs = _THRESHOLD_POLYS[q_index]
@@ -244,12 +244,14 @@ def log_concavity_root(q_index):
             acc = acc * x + c
         return acc
 
-    lo, hi = 0.5, 1.0
-    if poly(lo) * poly(hi) > 0.0:
-        raise BracketingError(
-            f"threshold polynomial {q_index} has no sign change in (1/2, 1)"
-        )
-    return bisect(poly, lo, hi, xtol=1e-10)
+    def slope(x):
+        acc = 0.0
+        for i in range(len(coeffs) - 1, 0, -1):
+            acc = acc * x + i * coeffs[i]
+        return acc
+
+    ftol = 4.0 * np.finfo(float).eps * sum(abs(c) for c in coeffs)
+    return bisect_newton(poly, slope, 0.5, 1.0, ftol)
 
 
 def scaled_density(row, a, kind="step"):

@@ -156,10 +156,18 @@ class TestPsiMgf:
         h = limitlaw.psi_mgf(a, -10.0, precision_digits=40)
         assert_allclose(d.omega, h.omega, rtol=1e-10)
         assert_allclose(d.xi, h.xi, rtol=1e-9)
+        assert abs(d.psi - h.psi) <= d.error_estimate
 
     def test_positive_overflow_guard(self):
         with pytest.raises(SeriesOverflowError):
             limitlaw.psi_mgf(0.75, 1e4)
+
+    @pytest.mark.parametrize("a, r", [(0.55, -20.0), (0.6, -29.0 * moments.rho(0.6))])
+    def test_negative_overflow_inside_cap(self, a, r):
+        # within the 30 rho cap, but the largest series term overflows
+        assert abs(r) <= 30.0 * moments.rho(a)
+        with pytest.raises(SeriesOverflowError):
+            limitlaw.psi_mgf(a, r)
 
 
 class TestEtaAsymptote:

@@ -16,11 +16,12 @@ os.environ.setdefault(
 )
 
 import numpy as np  # noqa: E402
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from numpy.testing import assert_allclose  # noqa: E402
 
 from erwlab import specfun, walk  # noqa: E402
+from erwlab.errors import ErwLabError  # noqa: E402
 
 deterministic = settings(derandomize=True, database=None, deadline=None)
 
@@ -56,6 +57,20 @@ def test_f_eval_continuous_across_regime_switch(a):
         hyp = specfun.f_eval(a, z, method="hypergeometric")
         ser = specfun.f_eval(a, z, method="series")
         assert abs(hyp.value - ser.value) <= hyp.abs_error_estimate + ser.abs_error_estimate
+
+
+@deterministic
+@given(a=st.floats(0.5 + 1e-6, 1.0, exclude_max=True), u=st.floats(-6.0, 6.0))
+@example(a=0.5 + 1e-6, u=math.log10(1.58))  # y = 1.58; F resolved to about 1e-9 only
+def test_f_inverse_meets_contract_or_raises(a, u):
+    # a root off the residual contract is never returned; near a = 1/2,
+    # where f_eval cannot resolve F to 50 ulps, a typed error is raised
+    y = 10.0**u
+    try:
+        x = specfun.f_inverse(a, y)
+    except ErwLabError:
+        return
+    assert abs(specfun.f_eval(a, x).value - y) <= 1e-11 * max(1.0, y)
 
 
 @deterministic

@@ -4,7 +4,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from erwlab import quadrature, rootfind
-from erwlab.errors import BracketingError, QuadratureError
+from erwlab.errors import BracketingError, ConvergenceError, QuadratureError
 
 
 def test_polynomial_exact():
@@ -36,14 +36,24 @@ def test_infinite_endpoint_rejected():
         quadrature.integrate(math.exp, 0.0, math.inf)
 
 
-def test_bisect_cosine():
-    root = rootfind.bisect(math.cos, 1.0, 2.0, xtol=1e-12)
+def _minus_sin(x):
+    return -math.sin(x)
+
+
+def test_bisect_newton_cosine():
+    root = rootfind.bisect_newton(math.cos, _minus_sin, 1.0, 2.0, 1e-12)
     assert abs(root - math.pi / 2.0) < 1e-11
 
 
-def test_bisect_requires_bracket():
+def test_bisect_newton_requires_bracket():
     with pytest.raises(BracketingError):
-        rootfind.bisect(math.cos, 0.1, 0.2)
+        rootfind.bisect_newton(math.cos, _minus_sin, 0.1, 0.2, 1e-12)
+
+
+def test_bisect_newton_below_rounding_floor():
+    # x*x - 2 is at least 4.4e-16 in magnitude at every double
+    with pytest.raises(ConvergenceError):
+        rootfind.bisect_newton(lambda x: x * x - 2.0, lambda x: 2.0 * x, 1.0, 2.0, ftol=1e-16)
 
 
 def test_bisect_newton_sqrt2():

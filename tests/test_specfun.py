@@ -144,10 +144,10 @@ class TestMittagLeffler:
         assert_allclose(lo.value, math.exp(z_lo ** (1.0 / alpha)) / alpha, rtol=1e-10)
 
     def test_cancellation_guard(self):
-        with pytest.raises(CancellationError):
-            specfun.mittag_leffler(0.6, -25.0)
-        with pytest.raises(CancellationError):
-            specfun.mittag_leffler(0.75, -200.0)
+        # at alpha = 0.3 the terms overflow and the sum is NaN
+        for alpha, z in ((0.6, -25.0), (0.75, -200.0), (0.3, -20.0), (0.3, -8.0)):
+            with pytest.raises(CancellationError):
+                specfun.mittag_leffler(alpha, z)
 
     def test_high_precision_mode(self):
         got = specfun.mittag_leffler(0.75, -20.0, precision_digits=40)
@@ -191,6 +191,11 @@ class TestPrabhakar:
         got = specfun.prabhakar(alpha, beta, gamma_p, z)
         assert_allclose(got.value, ref, rtol=1e-9)
         assert abs(got.value - ref) <= max(got.abs_error_estimate, 4e-16 * abs(ref))
+
+    def test_overflowing_terms_raise(self):
+        # the terms overflow and the sum is NaN: a typed error, not NaN
+        with pytest.raises(CancellationError):
+            specfun.prabhakar(0.3, 1.0, 1.0, -8.0)
 
     def test_large_argument_ratio(self):
         # E^g_{a,1}(r) / [r^((g-1)/a) e^(r^(1/a)) / (a^g Gamma(g))] -> 1
@@ -316,6 +321,21 @@ class TestFInverse:
             x = specfun.f_inverse(a, y)
             approx = ((a + 1.0) * y) ** (-a / (a + 1.0)) * (1.0 - c1 * y ** (2.0 * a / (a + 1.0)))
             assert abs(x / approx - 1.0) < tol
+
+    @pytest.mark.parametrize("a", [0.55, 0.7, 0.9, 0.95])
+    def test_at_most_eight_evaluations(self, a, monkeypatch):
+        calls = []
+        f_eval = specfun.f_eval
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return f_eval(*args, **kwargs)
+
+        monkeypatch.setattr(specfun, "f_eval", counted)
+        for y in np.geomspace(0.01, 100.0, 41):
+            calls.clear()
+            specfun.f_inverse(a, float(y))
+            assert len(calls) <= 8, f"{len(calls)} f_eval calls at y={y}"
 
     def test_domain(self):
         with pytest.raises(ValueError):
