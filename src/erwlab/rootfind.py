@@ -14,15 +14,17 @@ def bisect_newton(f, fprime, lo, hi, ftol):
     analytic derivative.  Each step starts from the end with the smaller
     |f| or from the last iterate, narrows the bracket by the sign of f
     there, and takes the Newton step when it lands strictly inside the
-    bracket, the midpoint otherwise.  Raises BracketingError when f has
-    the same sign at both ends, and ConvergenceError when no point meets
-    ftol within a fixed step cap (ftol below f's rounding floor).
+    bracket, the midpoint otherwise.  An end with |f| <= ftol is returned
+    as it is.  Otherwise raises BracketingError when f has the same sign
+    at both ends, and ConvergenceError when no point meets ftol within a
+    fixed step cap (ftol below f's rounding floor).
     """
     flo = f(lo)
     fhi = f(hi)
-    if flo * fhi > 0.0:
-        raise BracketingError(f"no sign change on [{lo!r}, {hi!r}]")
     x, fx = (lo, flo) if abs(flo) <= abs(fhi) else (hi, fhi)
+    # an end that meets ftol is a root even where rounding flips its sign
+    if abs(fx) > ftol and flo * fhi > 0.0:
+        raise BracketingError(f"no sign change on [{lo!r}, {hi!r}]")
     for _ in range(_MAX_STEPS):
         if abs(fx) <= ftol:
             return x

@@ -428,11 +428,11 @@ def f_inverse(a, y):
     """The unique x > 0 with F(x) = y, for y > 0.
 
     Safeguarded Newton with the exact derivative inside a proven bracket,
-    at most 8 f_eval calls for y in [0.01, 100].  The residual |F(x) - y|
-    is at most 50 ulps of max(1, y), inside the documented contract
-    1e-11 * max(1, y).  Where f_eval cannot resolve F that finely (a within
-    about 1e-3 of 1/2, where the ascending form cancels), ConvergenceError
-    is raised instead of returning a root off the contract.
+    at most 8 f_eval calls for y in [0.01, 100].  The target residual
+    |F(x) - y| is 50 ulps of max(1, y).  Where f_eval cannot resolve F that
+    finely (a within about 1e-3 of 1/2, where the ascending form cancels),
+    the best point seen is returned if it meets the contract
+    1e-11 * max(1, y), and ConvergenceError is raised otherwise.
     """
     if not (0.5 < a < 1.0):
         raise ValueError("f_inverse requires a in (1/2, 1)")
@@ -443,8 +443,18 @@ def f_inverse(a, y):
     lo = (y + rho_root(a)) ** (-a)
     hi = min(((a + 1.0) * y) ** (-a / (a + 1.0)), y ** (-a))
 
-    def fres(x):
-        return f_eval(a, x).value - y
+    best = [lo, math.inf]
 
-    ftol = 50.0 * _EPS * max(1.0, y)
-    return bisect_newton(fres, lambda x: f_derivative(a, x), lo, hi, ftol)
+    def fres(x):
+        r = f_eval(a, x).value - y
+        if abs(r) < best[1]:
+            best[:] = [x, abs(r)]
+        return r
+
+    try:
+        return bisect_newton(fres, lambda x: f_derivative(a, x), lo, hi, 50.0 * _EPS * max(1.0, y))
+    except ConvergenceError:
+        # f_eval rounds above 50 ulps: the best point seen may still meet the contract
+        if best[1] <= 1e-11 * max(1.0, y):
+            return best[0]
+        raise

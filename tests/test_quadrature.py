@@ -50,6 +50,16 @@ def test_bisect_newton_requires_bracket():
         rootfind.bisect_newton(math.cos, _minus_sin, 0.1, 0.2, 1e-12)
 
 
+def test_bisect_newton_end_within_ftol():
+    # the double nearest sqrt(2) leaves x*x - 2 = +4.4e-16, so rounding
+    # hides the sign change; an end within ftol is returned all the same
+    lo = math.sqrt(2.0)
+    root = rootfind.bisect_newton(lambda x: x * x - 2.0, lambda x: 2.0 * x, lo, 2.0, 1e-15)
+    assert root == lo
+    with pytest.raises(BracketingError):
+        rootfind.bisect_newton(lambda x: x * x - 2.0, lambda x: 2.0 * x, lo, 2.0, 1e-16)
+
+
 def test_bisect_newton_below_rounding_floor():
     # x*x - 2 is at least 4.4e-16 in magnitude at every double
     with pytest.raises(ConvergenceError):

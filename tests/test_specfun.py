@@ -337,6 +337,20 @@ class TestFInverse:
             specfun.f_inverse(a, float(y))
             assert len(calls) <= 8, f"{len(calls)} f_eval calls at y={y}"
 
+    @pytest.mark.parametrize("a, y", [(0.9, 1e9), (0.95, 1e9), (0.95, 1e15), (0.7, 1e-20)])
+    def test_round_trip_far_out(self, a, y):
+        # F at one end of the proven bracket lies within f_eval's rounding
+        # of y, so the computed sign there may be wrong
+        x = specfun.f_inverse(a, y)
+        assert abs(specfun.f_eval(a, x).value - y) <= 1e-11 * max(1.0, y)
+
+    def test_contract_met_below_fifty_ulps(self):
+        # near a = 1/2 f_eval cannot resolve F to 50 ulps; the best point
+        # still meets the 1e-11 contract and is returned
+        a, y = 0.5003, 10.0**0.5
+        x = specfun.f_inverse(a, y)
+        assert abs(specfun.f_eval(a, x).value - y) <= 1e-11 * max(1.0, y)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             specfun.f_inverse(0.7, -2.0)
