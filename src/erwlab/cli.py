@@ -33,11 +33,10 @@ def _params_from(args):
     return walk.ErwParams(p=args.p, q_first=args.q)
 
 
-def _add_param_opts(sp, with_q=True):
+def _add_param_opts(sp):
     sp.add_argument("--a", type=float, default=None, help="memory scale a = 2p-1")
     sp.add_argument("--p", type=float, default=None, help="memory parameter p")
-    if with_q:
-        sp.add_argument("--q", type=float, default=1.0, help="first-step parameter (default 1)")
+    sp.add_argument("--q", type=float, default=1.0, help="first-step parameter (default 1)")
     sp.add_argument("--out", default="-", help="output path, '-' for stdout")
 
 
@@ -125,8 +124,6 @@ def cmd_simulate(args):
 
 
 def cmd_moments(args):
-    if args.a is None:
-        raise SystemExit2("moments requires --a")
     a = args.a
     table = moments.moment_sequence(a, args.n_max)
     ctx = moments.context(a)
@@ -180,8 +177,6 @@ def cmd_rho(args):
 
 
 def cmd_limit(args):
-    if args.a is None:
-        raise SystemExit2("limit requires --a")
     a = args.a
     r = moments.rho(a)
     grid = _grid(args.grid) if args.grid else np.linspace(0.05, 0.90, 18) / r
@@ -201,8 +196,6 @@ def cmd_limit(args):
 
 
 def cmd_tails(args):
-    if args.a is None:
-        raise SystemExit2("tails requires --a")
     a = args.a
     ctx = moments.context(a)
     params = walk.ErwParams.from_a(a, q_first=args.q)
@@ -249,10 +242,8 @@ def cmd_specfun(args):
         elif args.fn == "f":
             ev = specfun.f_eval(p[0], args.z)
             out = ev.__dict__
-        elif args.fn == "f_inverse":
+        else:  # f_inverse
             out = {"value": specfun.f_inverse(p[0], args.z), "method": "bisect-newton"}
-        else:
-            raise SystemExit2(f"unknown function {args.fn!r}")
     except IndexError:
         raise SystemExit2(f"--params is too short for {args.fn}")
     write_json(args.out, dict(out), meta={"command": "specfun", "fn": args.fn, "z": args.z})
@@ -358,8 +349,6 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit2:
-        raise
     except (ErwLabError, ValueError) as exc:
         print(f"numeric failure in '{args.command}': {exc}", file=sys.stderr)
         return 1

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import CancellationError, SeriesOverflowError
 from .moments import moment_sequence, rho
-from .specfun import _CANCEL_BUDGET, _EPS, _LOG_MAX, f_eval, f_inverse, gamma_ln, rho_root
+from .specfun import _EPS, _LOG_MAX, _check_cancellation, f_eval, f_inverse, gamma_ln, rho_root
 
 _H_FIRST = _EPS ** (1.0 / 3.0)
 _H_SECOND = _EPS**0.25
@@ -177,15 +177,13 @@ def residuals(a, x, h_scale=1.0):
 # exponential generating function and tilted-law functionals
 
 
-def _omega_sums(scaled, a, u):
+def _omega_sums(ln_b, ln_size, u):
     """(omega, omega', omega'', first_omitted, cancellation_loss) for
-    omega(u) = sum b_n u^n, b_n = scaled_n / Gamma(1+an), summed with a
-    factored maximum so intermediate magnitudes stay representable."""
-    n_max = len(scaled) - 1
+    omega(u) = sum b_n u^n, given ln b_n and the per-term log sizes,
+    summed with a factored maximum so intermediate magnitudes stay
+    representable."""
+    n_max = len(ln_b) - 1
     ns = np.arange(n_max + 1, dtype=float)
-    ln_s = np.log(scaled)
-    ln_g = np.array([gamma_ln(1.0 + a * n) for n in ns])
-    ln_b = ln_s - ln_g
     if u == 0.0:
         b1 = math.exp(ln_b[1]) if n_max >= 1 else 0.0
         b2 = math.exp(ln_b[2]) if n_max >= 2 else 0.0
@@ -195,7 +193,7 @@ def _omega_sums(scaled, a, u):
     peak = float(ln_t.max())
     if peak > _LOG_MAX:
         raise SeriesOverflowError(
-            f"psi_mgf series at u={u:g}, a={a:g}: its largest term exp({peak:.1f}) overflows double"
+            f"psi_mgf series at u={u:g}: its largest term exp({peak:.1f}) overflows double"
         )
     mag = np.exp(ln_t - peak)
     if u > 0.0:
@@ -209,10 +207,7 @@ def _omega_sums(scaled, a, u):
     w2 = float(np.dot(mag[2:] * ns[2:] * (ns[2:] - 1.0), sign[2:])) / (au * au) * s2
     scale = math.exp(peak)
     omitted = float(mag[-1]) * scale
-    # each term carries its own rounding, plus that of the three logarithms
-    # it is built from, eps times their size
-    ln_size = 1.0 + np.abs(ln_s) + np.abs(ln_g) + ns * abs(math.log(au))
-    loss = _EPS * float(np.dot(mag, ln_size)) * scale
+    loss = _EPS * float(np.dot(mag, ln_size + ns * abs(math.log(au)))) * scale
     return w0 * scale, w1 * scale, w2 * scale, omitted, loss
 
 
@@ -223,7 +218,9 @@ def psi_mgf(a, r, precision_digits=0):
     negative r is capped at 30 rho_a in double precision (less where the
     largest series term overflows, SeriesOverflowError) and 200 rho_a in
     the high-precision mode (precision_digits > 0, mpmath; cost grows
-    quadratically with the series length needed).
+    quadratically with the series length needed).  On the negative axis
+    Psi and omega must each keep their own cancellation loss within
+    1e-6 of their own value (CancellationError otherwise).
     """
     rh = rho(a)
     if r > 0.0 and (rh * r) ** (1.0 / a) > 700.0:
@@ -237,25 +234,25 @@ def psi_mgf(a, r, precision_digits=0):
                 f"psi_mgf at r={r:g} is beyond the cap {cap:g} "
                 f"({'high-precision' if precision_digits > 0 else 'double'} mode)"
             )
-    if precision_digits > 0:
-        return _psi_mgf_hp(a, r, precision_digits)
-
     peak = (rh * abs(r)) ** (1.0 / a) / a if r != 0.0 else 8.0
     n_max = int(3.0 * peak + 256)
-    table = moment_sequence(a, n_max)
+    if precision_digits > 0:
+        return _psi_mgf_hp(a, r, precision_digits, n_max)
 
-    psi, _, _, om_psi, loss_psi = _omega_sums(table.scaled, a, rh * r)
-    w0, w1, w2, om_w, loss_w = _omega_sums(table.scaled, a, r)
-    loss = loss_psi + loss_w
-    omitted = om_psi + om_w
-    if r < 0.0 and loss > _CANCEL_BUDGET * max(abs(w0), abs(psi)):
-        raise CancellationError(
-            f"psi_mgf at r={r:g}: cancellation loss {loss:.2e} exceeds the "
-            f"1e-6 relative budget; use precision_digits > 0"
-        )
+    ln_s = np.log(moment_sequence(a, n_max).scaled)
+    ln_g = np.array([gamma_ln(1.0 + a * n) for n in range(n_max + 1)])
+    # each term carries its own rounding, plus that of the three logarithms
+    # it is built from (ln m_n, ln Gamma(1+an), n ln|u|), eps times their size
+    ln_size = 1.0 + np.abs(ln_s) + np.abs(ln_g)
+    ln_b = ln_s - ln_g
+    psi, _, _, om_psi, loss_psi = _omega_sums(ln_b, ln_size, rh * r)
+    w0, w1, w2, om_w, loss_w = _omega_sums(ln_b, ln_size, r)
+    if r < 0.0:
+        _check_cancellation(psi, loss_psi, f"psi_mgf Psi at r={r:g}")
+        _check_cancellation(w0, loss_w, f"psi_mgf omega at r={r:g}")
     xi = -w1 / w0
     eta2 = w2 / w0 - xi * xi
-    err = omitted + loss
+    err = (om_psi + om_w) + (loss_psi + loss_w)
     if eta2 < 0.0:
         budget = err / abs(w0) * (abs(w2 / w0) + xi * xi + 1.0)
         if eta2 < -budget:
@@ -266,12 +263,9 @@ def psi_mgf(a, r, precision_digits=0):
     return MgfValue(r=r, psi=psi, omega=w0, xi=xi, eta=math.sqrt(eta2), error_estimate=err)
 
 
-def _psi_mgf_hp(a, r, digits):
+def _psi_mgf_hp(a, r, digits, n_max):
     import mpmath as mp
 
-    rh = rho(a)
-    peak = (rh * abs(r)) ** (1.0 / a) / a if r != 0.0 else 8.0
-    n_max = int(3.0 * peak + 256)
     with mp.workdps(digits + 10):
         aa = mp.mpf(a)
         rho_mp = ((mp.gamma(mp.mpf(1) / 2 + 1 / (2 * aa)) * mp.gamma(1 - 1 / (2 * aa)))
@@ -300,11 +294,9 @@ def _psi_mgf_hp(a, r, digits):
         )
 
 
-def eta_asymptote(a, r, sign="+"):
+def eta_asymptote(a, r):
     """Leading form sqrt(1-a) r^(1/(2a)-1) / a of the tilted standard
     deviation; the same form holds on both half-axes."""
-    if sign not in ("+", "-"):
-        raise ValueError("sign must be '+' or '-'")
     if not (r > 0.0):
         raise ValueError("eta_asymptote requires r > 0")
     return math.sqrt(1.0 - a) * r ** (1.0 / (2.0 * a) - 1.0) / a

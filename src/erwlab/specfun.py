@@ -9,7 +9,9 @@ Everything here is scalar double-precision with explicit error reporting:
 * the Mittag-Leffler function E_alpha(z) = sum z^n / Gamma(1+alpha n) and
   its three-parameter generalisation
   E^gamma_{alpha,beta}(z) = sum (gamma)_n z^n / (n! Gamma(beta+alpha n)),
-  switching to the leading exponential asymptote once z^(1/alpha) > 35;
+  switching to the leading exponential asymptote once z^(1/alpha) > 35
+  (each with its own term ratio and asymptote, one shared summation, and
+  one shared mpmath loop whose precision follows its largest term);
 * the decreasing kernel
   F(z) = (1/a) * int_z^inf du / (u^(1+1/a) sqrt(1+u^2))
   in three mutually checked regimes (2F1 forms in -z^2 and in -1/z^2, both
@@ -34,6 +36,7 @@ from .rootfind import bisect_newton
 
 _EPS = 2.220446049250313e-16
 _MAX_TERMS = 10_000
+_HP_MAX_TERMS = 200_000
 _LOG_MAX = 709.0
 # series stops once a term's relative contribution drops below this
 _TERM_CUT = 1e-17
@@ -105,7 +108,7 @@ def poch_ln(x, n):
 # Gauss hypergeometric 2F1
 
 
-def hyp2f1(alpha, beta, gamma_c, z, max_terms=_MAX_TERMS):
+def hyp2f1(alpha, beta, gamma_c, z):
     """2F1(alpha, beta; gamma_c; z) on the real branch z < 1.
 
     Power series for z >= -1/2; Pfaff transform z -> z/(z-1) further left,
@@ -116,7 +119,7 @@ def hyp2f1(alpha, beta, gamma_c, z, max_terms=_MAX_TERMS):
     if z >= 1.0:
         raise ValueError("real-branch 2F1 requires z < 1")
     if z < -0.5:
-        inner = hyp2f1(alpha, gamma_c - beta, gamma_c, z / (z - 1.0), max_terms)
+        inner = hyp2f1(alpha, gamma_c - beta, gamma_c, z / (z - 1.0))
         scale = (1.0 - z) ** (-alpha)
         return SeriesEval(
             value=scale * inner.value,
@@ -128,7 +131,7 @@ def hyp2f1(alpha, beta, gamma_c, z, max_terms=_MAX_TERMS):
     total = 1.0
     comp = 0.0
     abs_sum = 1.0
-    for n in range(max_terms):
+    for n in range(_MAX_TERMS):
         term *= (alpha + n) * (beta + n) / ((gamma_c + n) * (n + 1.0)) * z
         if term == 0.0:
             # terminating (polynomial) case
@@ -141,32 +144,11 @@ def hyp2f1(alpha, beta, gamma_c, z, max_terms=_MAX_TERMS):
         if abs(term) <= _TERM_CUT * abs(total) and n >= 3:
             err = abs(term) + _series_loss(abs_sum, n + 1)
             return SeriesEval(total + comp, err, n + 1, "series")
-    raise ConvergenceError(f"2F1 series did not converge within {max_terms} terms")
+    raise ConvergenceError(f"2F1 series did not converge within {_MAX_TERMS} terms")
 
 
 # ---------------------------------------------------------------------------
 # Mittag-Leffler and Prabhakar
-
-
-def _kahan_series(first_term, ratio, max_terms):
-    """Sum t_0 + t_1 + ... with t_{n+1} = t_n * ratio(n), compensated.
-
-    Returns (value, first_omitted, abs_sum, terms).
-    """
-    term = first_term
-    total = term
-    comp = 0.0
-    abs_sum = abs(term)
-    for n in range(max_terms):
-        term *= ratio(n)
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        abs_sum += abs(term)
-        if abs(term) <= _TERM_CUT * max(abs(total), 1e-300) and n >= 3:
-            return total + comp, abs(term), abs_sum, n + 2
-    raise ConvergenceError(f"series did not converge within {max_terms} terms")
 
 
 def _series_loss(abs_sum, terms):
@@ -182,17 +164,45 @@ def _check_cancellation(value, loss, what):
             f"{what}: cancellation loss {loss:.2e} exceeds budget "
             f"{_CANCEL_BUDGET:g} * |value|; use precision_digits > 0"
         )
-    return loss
+
+
+def _series(what, z, first, ratio):
+    """Double-precision sum of t_0 = first, t_{n+1} = t_n * ratio(n) for
+    z >= -30, compensated; the bar is the last term plus the rounding
+    bound, and on the negative axis the cancellation must fit the budget."""
+    if z < -_NEG_Z_CAP:
+        raise CancellationError(
+            f"{what} at z={z:g} is outside the double-precision window "
+            f"|z| <= {_NEG_Z_CAP:g}; use precision_digits > 0"
+        )
+    term = total = first
+    comp = 0.0
+    abs_sum = abs(term)
+    for n in range(_MAX_TERMS):
+        term *= ratio(n)
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        abs_sum += abs(term)
+        if abs(term) <= _TERM_CUT * max(abs(total), 1e-300) and n >= 3:
+            value = total + comp
+            loss = _series_loss(abs_sum, n + 2)
+            if z < 0.0:
+                _check_cancellation(value, loss, what)
+            return SeriesEval(value, abs(term) + loss, n + 2, "series")
+    raise ConvergenceError(f"{what} series did not converge within {_MAX_TERMS} terms")
 
 
 def mittag_leffler(alpha, z, precision_digits=0):
-    """E_alpha(z) for alpha in (0, 1], real z."""
+    """E_alpha(z) for alpha in (0, 1], real z; precision_digits > 0 sums
+    E^1_{alpha,1}(z) in the mpmath loop of ``prabhakar``."""
     if not (0.0 < alpha <= 1.0):
         raise ValueError("mittag_leffler requires alpha in (0, 1]")
     if not math.isfinite(z):
         raise ValueError("mittag_leffler requires finite z")
     if precision_digits > 0:
-        return _mittag_leffler_hp(alpha, z, precision_digits)
+        return _prabhakar_hp(alpha, 1.0, 1.0, z, precision_digits)
     if z > 0.0 and z ** (1.0 / alpha) > _ASYMPT_CUT:
         u = z ** (1.0 / alpha)
         if u > _LOG_MAX:
@@ -203,46 +213,22 @@ def mittag_leffler(alpha, z, precision_digits=0):
         # first omitted algebraic term of the large-z expansion
         omitted = 0.0 if alpha == 1.0 else math.exp(-gamma_ln(1.0 - alpha)) / z
         return SeriesEval(value, abs(omitted) + 8 * _EPS * value, 1, "asymptotic")
-    if z < -_NEG_Z_CAP:
-        raise CancellationError(
-            f"E_alpha at z={z:g} is outside the double-precision window "
-            f"|z| <= {_NEG_Z_CAP:g}; use precision_digits > 0"
-        )
 
     def ratio(n):
         return z * math.exp(gamma_ln(1.0 + alpha * n) - gamma_ln(1.0 + alpha * (n + 1)))
 
-    value, omitted, abs_sum, terms = _kahan_series(1.0, ratio, _MAX_TERMS)
-    loss = _series_loss(abs_sum, terms)
-    if z < 0.0:
-        _check_cancellation(value, loss, "mittag_leffler")
-    return SeriesEval(value, omitted + loss, terms, "series")
-
-
-def _mittag_leffler_hp(alpha, z, digits):
-    import mpmath as mp
-
-    with mp.workdps(digits + 10):
-        al = mp.mpf(alpha)
-        zz = mp.mpf(z)
-        total = mp.mpf(0)
-        term_n = 0
-        n = 0
-        while True:
-            term = zz**n / mp.gamma(1 + al * n)
-            total += term
-            if n > 4 and abs(term) < mp.mpf(10) ** (-(digits + 5)) * max(abs(total), mp.mpf(1e-30)):
-                term_n = n + 1
-                break
-            n += 1
-            if n > 200_000:
-                raise ConvergenceError("high-precision Mittag-Leffler series stalled")
-        value = float(total)
-    return SeriesEval(value, abs(value) * 10.0 ** (-digits + 1), term_n, "series-hp")
+    return _series("mittag_leffler", z, 1.0, ratio)
 
 
 def prabhakar(alpha, beta, gamma_p, z, precision_digits=0):
-    """Prabhakar function E^gamma_{alpha,beta}(z) for alpha, beta, gamma > 0."""
+    """Prabhakar function E^gamma_{alpha,beta}(z) for alpha, beta, gamma > 0.
+
+    precision_digits > 0 sums in mpmath, on the negative axis with about
+    |z|^(1/alpha) / ln 10 more digits, the size of the largest term.  The
+    bar covers that term's measured rounding; where it misses the
+    requested digits the sum is taken once more with the missing digits
+    added, and CancellationError is raised if it misses again.
+    """
     if alpha <= 0.0 or beta <= 0.0 or gamma_p <= 0.0:
         raise ValueError("prabhakar requires alpha, beta, gamma > 0")
     if not math.isfinite(z):
@@ -263,11 +249,6 @@ def prabhakar(alpha, beta, gamma_p, z, precision_digits=0):
         value = math.exp(ln_val)
         # relative correction is O(z^(-1/alpha)); report its magnitude
         return SeriesEval(value, value * z ** (-1.0 / alpha), 1, "asymptotic")
-    if z < -_NEG_Z_CAP:
-        raise CancellationError(
-            f"prabhakar at z={z:g} is outside the double-precision window "
-            f"|z| <= {_NEG_Z_CAP:g}; use precision_digits > 0"
-        )
 
     def ratio(n):
         return (
@@ -277,33 +258,55 @@ def prabhakar(alpha, beta, gamma_p, z, precision_digits=0):
             * math.exp(gamma_ln(beta + alpha * n) - gamma_ln(beta + alpha * (n + 1)))
         )
 
-    first = math.exp(-gamma_ln(beta))
-    value, omitted, abs_sum, terms = _kahan_series(first, ratio, _MAX_TERMS)
-    loss = _series_loss(abs_sum, terms)
-    if z < 0.0:
-        _check_cancellation(value, loss, "prabhakar")
-    return SeriesEval(value, omitted + loss, terms, "series")
+    return _series("prabhakar", z, math.exp(-gamma_ln(beta)), ratio)
 
 
 def _prabhakar_hp(alpha, beta, gamma_p, z, digits):
     import mpmath as mp
 
-    with mp.workdps(digits + 10):
-        al, be, ga = mp.mpf(alpha), mp.mpf(beta), mp.mpf(gamma_p)
-        zz = mp.mpf(z)
-        total = mp.mpf(0)
-        term = 1 / mp.gamma(be)
-        n = 0
-        while True:
-            total += term
-            if n > 4 and abs(term) < mp.mpf(10) ** (-(digits + 5)) * max(abs(total), mp.mpf(1e-30)):
-                break
-            term *= zz * (ga + n) / ((n + 1) * 1) * mp.gamma(be + al * n) / mp.gamma(be + al * (n + 1))
-            n += 1
-            if n > 200_000:
-                raise ConvergenceError("high-precision Prabhakar series stalled")
-        value = float(total)
-    return SeriesEval(value, abs(value) * 10.0 ** (-digits + 1), n + 1, "series-hp")
+    # the terms peak near n = |z|^(1/alpha) / alpha at about exp(|z|^(1/alpha))
+    ln_u = math.log(abs(z)) / alpha if z != 0.0 else -math.inf
+    if ln_u > math.log(alpha * _HP_MAX_TERMS):
+        raise ConvergenceError(
+            f"high-precision series at z={z:g} peaks beyond {_HP_MAX_TERMS} terms"
+        )
+    work = digits + 10 + (math.ceil(math.exp(ln_u) / math.log(10.0)) if z < 0.0 else 0)
+    for attempt in range(2):
+        with mp.workdps(work):
+            al, be, ga, zz = mp.mpf(alpha), mp.mpf(beta), mp.mpf(gamma_p), mp.mpf(z)
+            cut = mp.mpf(10) ** (-(digits + 5))
+            coef = mp.mpf(1)  # (gamma)_n z^n / n!
+            total = largest = mp.mpf(0)
+            n = 0
+            while True:
+                term = coef / mp.gamma(be + al * n)
+                total += term
+                largest = max(largest, abs(term))
+                if n > 4 and abs(term) < cut * max(abs(total), mp.mpf(1e-30)):
+                    break
+                coef *= zz * (ga + n) / (n + 1)
+                n += 1
+                if n > _HP_MAX_TERMS:
+                    raise ConvergenceError("high-precision Prabhakar series stalled")
+            # term k carries about 4k roundings from its coefficient and
+            # x |ln x| from Gamma's argument x, each partial sum at most
+            # n + 1 terms: bound them all by the largest term
+            x = beta + alpha * n
+            err = largest * mp.eps * (n + 1) * (5 * n + x * abs(math.log(x)) + 8) + abs(term)
+            allowed = abs(total) * mp.mpf(10) ** (-digits)
+            if err <= allowed:
+                value = float(total)
+                if math.isinf(value):
+                    raise SeriesOverflowError(f"E^g_ab({z:g}) overflows double; use prabhakar_ln")
+                bar = math.nextafter(float(err + abs(total - value)), math.inf)  # rounded up
+                return SeriesEval(value, bar, n + 1, "series-hp")
+            if attempt:
+                raise CancellationError(
+                    f"high-precision series at z={z:g}: error bound {float(err):.2e} "
+                    f"exceeds 10^-{digits} |value| even at {work} working digits"
+                )
+            # the first pass measured the cancellation: carry that many more digits
+            work += math.ceil(mp.log10(err / allowed)) + 2
 
 
 def prabhakar_ln(alpha, beta, gamma_p, z):

@@ -23,6 +23,8 @@ import numpy as np
 from .rootfind import bisect_newton
 
 _REL_TOL = 1e-12
+# largest count * n one simulate_terminal call accepts
+_STEP_BUDGET = 2**31
 
 
 @dataclass(frozen=True)
@@ -45,10 +47,6 @@ class ErwParams:
     @classmethod
     def from_a(cls, a, q_first=1.0):
         return cls(p=(1.0 + a) / 2.0, q_first=q_first)
-
-    def require_superdiffusive(self):
-        if not (0.5 < self.a < 1.0):
-            raise ValueError(f"operation requires 1/2 < a < 1, got a={self.a!r}")
 
 
 @dataclass(frozen=True)
@@ -334,7 +332,7 @@ def _simulate_chunk(p, q_first, n, seed, lo, hi):
     return sums
 
 
-def simulate_terminal(params, n, count, seed, threads=None, step_budget=2**31):
+def simulate_terminal(params, n, count, seed, threads=None):
     """count independent samples of n^(-a) S_n, simulated from the process
     definition (uniform pick over the stored step history).
 
@@ -354,28 +352,18 @@ def simulate_terminal(params, n, count, seed, threads=None, step_budget=2**31):
         raise ValueError("n must be >= 1")
     if count < 1:
         raise ValueError("count must be >= 1")
-    if n * count > step_budget:
+    if n * count > _STEP_BUDGET:
         raise ValueError(
-            f"count*n = {n * count} exceeds the step budget {step_budget}"
+            f"count*n = {n * count} exceeds the step budget {_STEP_BUDGET}"
         )
     seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-    workers = resolve_threads(threads)
     # scheduling granularity only: a worker's memory is set by its block
-    # (see _simulate_chunk), not by the chunk
+    # (see _simulate_chunk), not by the chunk; one chunk stays on one thread
     chunk = max(64, min(count, 30_000_000 // max(n, 1)))
     bounds = [(lo, min(lo + chunk, count)) for lo in range(0, count, chunk)]
-    sums = np.empty(count, dtype=np.int64)
-    if workers == 1 or len(bounds) == 1:
-        for lo, hi in bounds:
-            sums[lo:hi] = _simulate_chunk(params.p, params.q_first, n, seed, lo, hi)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(
-                    _simulate_chunk, params.p, params.q_first, n, seed, lo, hi
-                ): (lo, hi)
-                for lo, hi in bounds
-            }
-            for fut, (lo, hi) in futures.items():
-                sums[lo:hi] = fut.result()
+    with ThreadPoolExecutor(max_workers=min(resolve_threads(threads), len(bounds))) as pool:
+        parts = pool.map(
+            lambda b: _simulate_chunk(params.p, params.q_first, n, seed, *b), bounds
+        )
+        sums = np.concatenate(list(parts))
     return sums / float(n) ** params.a

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from erwlab import limitlaw, moments, walk
+from erwlab import acceptance, limitlaw, moments, walk
 from erwlab.errors import CancellationError, SeriesOverflowError
 
 
@@ -184,9 +184,6 @@ class TestEtaAsymptote:
         assert_allclose(ratio, 2.0 ** (1.0 / (2.0 * a) - 1.0), rtol=1e-14)
 
     def test_sides_and_domain(self):
-        assert limitlaw.eta_asymptote(0.7, 3.0, sign="-") == limitlaw.eta_asymptote(0.7, 3.0)
-        with pytest.raises(ValueError):
-            limitlaw.eta_asymptote(0.7, 3.0, sign="x")
         with pytest.raises(ValueError):
             limitlaw.eta_asymptote(0.7, -1.0)
 
@@ -262,12 +259,7 @@ class TestTails:
         ctx = moments.context(a)
 
         def max_dev(n):
-            row = walk.evolve_distribution(walk.ErwParams.from_a(a), n)[-1]
-            x = row.scaled_support(a)
-            f = float(n) ** a * row.probs / 2.0
-            mask = (f >= 1e-8) & (f <= 1e-3) & (x > 0)
-            lt = np.array([limitlaw.tail(ctx, float(v), "positive", log=True) for v in x[mask]])
-            return float(np.abs(np.log(f[mask]) / lt - 1.0).max())
+            return acceptance._density_log_deviation(ctx, walk.row_at(walk.ErwParams.from_a(a), n))
 
         assert max_dev(800) > max_dev(1600)
 

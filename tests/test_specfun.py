@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from scipy import special as sp
 
 from erwlab import specfun
-from erwlab.errors import CancellationError
+from erwlab.errors import CancellationError, ConvergenceError, SeriesOverflowError
 
 
 class TestGammaLn:
@@ -116,6 +116,26 @@ class TestHyp2F1:
             specfun.hyp2f1(1.0, 1.0, 2.0, 1.0)
 
 
+def _prabhakar_sum(alpha, beta, gamma_p, z, dps):
+    """E^gamma_{alpha,beta}(z) summed term by term at dps digits."""
+    with mp.workdps(dps):
+        total, n = mp.mpf(0), 0
+        while True:
+            term = mp.rf(gamma_p, n) * mp.mpf(z) ** n / (mp.factorial(n) * mp.gamma(beta + mp.mpf(alpha) * n))
+            total += term
+            if n > 10 and abs(term) < mp.mpf(10) ** -dps:
+                return total
+            n += 1
+
+
+def _assert_within_bar(got, ref):
+    with mp.workdps(60):
+        assert abs(mp.mpf(got.value) - ref) <= got.abs_error_estimate
+    # the bar of a 30-digit sum is the conversion to double, give or take
+    assert got.abs_error_estimate <= 2e-16 * abs(float(ref))
+    assert got.method == "series-hp"
+
+
 class TestMittagLeffler:
     def test_exponential(self):
         assert_allclose(specfun.mittag_leffler(1.0, 1.0).value, math.e, rtol=1e-14)
@@ -156,6 +176,12 @@ class TestMittagLeffler:
         assert_allclose(got.value, ref, rtol=1e-25 + 1e-12)
         assert got.method == "series-hp"
 
+    @pytest.mark.parametrize("alpha, z", [(0.6, -20.0), (0.75, -30.0)])
+    def test_high_precision_cancelling(self, alpha, z):
+        # the largest term is about 10^64 (10^40) times the value
+        got = specfun.mittag_leffler(alpha, z, precision_digits=30)
+        _assert_within_bar(got, _prabhakar_sum(alpha, 1.0, 1.0, z, 200))
+
     def test_error_estimate_honest(self):
         for alpha, z in ((0.75, 3.0), (0.6, -4.0), (0.9, 12.0)):
             got = specfun.mittag_leffler(alpha, z)
@@ -191,6 +217,28 @@ class TestPrabhakar:
         got = specfun.prabhakar(alpha, beta, gamma_p, z)
         assert_allclose(got.value, ref, rtol=1e-9)
         assert abs(got.value - ref) <= max(got.abs_error_estimate, 4e-16 * abs(ref))
+
+    @pytest.mark.parametrize("alpha, beta, gamma_p, z", [(0.5, 2.0, 2.5, -12.0), (0.75, 1.3, 0.4, -30.0)])
+    def test_high_precision_cancelling(self, alpha, beta, gamma_p, z):
+        got = specfun.prabhakar(alpha, beta, gamma_p, z, precision_digits=30)
+        _assert_within_bar(got, _prabhakar_sum(alpha, beta, gamma_p, z, 200))
+
+    def test_high_precision_large_gamma(self):
+        # (gamma)_n / n! and a value of 1e-12 cancel beyond the
+        # |z|^(1/alpha) / ln 10 digits estimated up front
+        try:
+            got = specfun.prabhakar(0.75, 1.0, 40.0, -10.0, precision_digits=30)
+        except CancellationError:
+            return
+        _assert_within_bar(got, _prabhakar_sum(0.75, 1.0, 40.0, -10.0, 400))
+
+    def test_high_precision_typed_failures(self):
+        # a peak beyond the term cap is refused before any digits are set;
+        # a sum beyond double's range is not returned as inf
+        with pytest.raises(ConvergenceError):
+            specfun.mittag_leffler(0.1, -30.0, precision_digits=30)
+        with pytest.raises(SeriesOverflowError):
+            specfun.mittag_leffler(1.0, 800.0, precision_digits=20)
 
     def test_overflowing_terms_raise(self):
         # the terms overflow and the sum is NaN: a typed error, not NaN
