@@ -67,7 +67,9 @@ class Residuals:
 @dataclass(frozen=True)
 class MgfValue:
     """Psi(r), omega(r) = Psi(r/rho_a), xi = -omega'/omega and
-    eta = sqrt(omega''/omega - xi^2), with a summation error estimate.
+    eta = sqrt(omega''/omega - xi^2), with one absolute summation error
+    estimate per sum: error_estimate for psi, omega_error_estimate for
+    omega (on the negative axis |omega| can be far below |psi|).
 
     Derivatives are taken at the evaluation point; on the negative axis
     xi comes out positive (the tilt favours the opposite tail)."""
@@ -78,6 +80,7 @@ class MgfValue:
     xi: float
     eta: float
     error_estimate: float
+    omega_error_estimate: float
 
 
 @dataclass(frozen=True)
@@ -252,15 +255,18 @@ def psi_mgf(a, r, precision_digits=0):
         _check_cancellation(w0, loss_w, f"psi_mgf omega at r={r:g}")
     xi = -w1 / w0
     eta2 = w2 / w0 - xi * xi
-    err = (om_psi + om_w) + (loss_psi + loss_w)
+    err_w = om_w + loss_w
     if eta2 < 0.0:
-        budget = err / abs(w0) * (abs(w2 / w0) + xi * xi + 1.0)
+        budget = err_w / abs(w0) * (abs(w2 / w0) + xi * xi + 1.0)
         if eta2 < -budget:
             raise CancellationError(
                 f"eta^2 = {eta2:.3e} is negative beyond the error budget at r={r:g}"
             )
         eta2 = 0.0
-    return MgfValue(r=r, psi=psi, omega=w0, xi=xi, eta=math.sqrt(eta2), error_estimate=err)
+    return MgfValue(
+        r=r, psi=psi, omega=w0, xi=xi, eta=math.sqrt(eta2),
+        error_estimate=om_psi + loss_psi, omega_error_estimate=err_w,
+    )
 
 
 def _psi_mgf_hp(a, r, digits, n_max):
@@ -287,10 +293,10 @@ def _psi_mgf_hp(a, r, digits, n_max):
         xi = -w1 / w0
         eta2 = w2 / w0 - xi * xi
         eta = mp.sqrt(eta2) if eta2 > 0 else mp.mpf(0)
-        err = abs(w0) * mp.mpf(10) ** (-digits + 2)
+        tol = mp.mpf(10) ** (-digits + 2)
         return MgfValue(
             r=r, psi=float(psi), omega=float(w0), xi=float(xi), eta=float(eta),
-            error_estimate=float(err),
+            error_estimate=float(abs(psi) * tol), omega_error_estimate=float(abs(w0) * tol),
         )
 
 

@@ -304,12 +304,19 @@ def _simulate_chunk(p, q_first, n, seed, lo, hi):
     u_flip = np.empty((block, n), dtype=np.float32)
     times = np.arange(n)
     sums = np.empty(count, dtype=np.int64)
+    # one generator per chunk, reset for each trajectory to a fresh state
+    # (zero counter, empty buffer, no buffered uint32: at odd n the float32
+    # flips leave half a uint64) keyed (seed, i), which gives the stream of
+    # Philox(key=(seed, i)) without its constructor's discarded entropy draw
+    bitgen = np.random.Philox(key=np.array([seed, lo], dtype=np.uint64))
+    gen = np.random.Generator(bitgen)
+    fresh = bitgen.state
+    key = fresh["state"]["key"]
     for start in range(0, count, block):
         b = min(block, count - start)
         for j in range(b):
-            gen = np.random.Generator(
-                np.random.Philox(key=np.array([seed, lo + start + j], dtype=np.uint64))
-            )
+            key[1] = lo + start + j
+            bitgen.state = fresh
             gen.random(out=u_pick[j])
             gen.random(dtype=np.float32, out=u_flip[j])
         pick, flip = u_pick[:b], u_flip[:b]
@@ -338,8 +345,10 @@ def simulate_terminal(params, n, count, seed, threads=None):
 
     Deterministic for fixed (seed, count, n): trajectory i consumes only
     its own Philox stream keyed by (seed, i), first n float64 picks, then
-    n float32 flips.  Output is ordered by trajectory index regardless of
-    thread scheduling.
+    n float32 flips.  Each worker keeps one generator and resets its state
+    for every trajectory to key (seed, i), a zero counter and an empty
+    buffer, so the stream equals that of a fresh Philox(key=(seed, i)).
+    Output is ordered by trajectory index regardless of thread scheduling.
 
     Each worker evaluates its trajectories in blocks of
     max(1, 2**16 // n): step m picks the earlier step floor(u_m * m), so a

@@ -1,9 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from erwlab import cli
+from erwlab import cli, walk
 
 
 def run(argv):
@@ -63,6 +64,17 @@ def test_simulate_deterministic_bytes(tmp_path):
     assert meta["seed"] == "7"
     assert header == ["sample"]
     assert len(rows) == 300
+
+
+def test_simulate_csv_parses_back_to_library_bytes(tmp_path):
+    # the 17-digit CSV carries exactly the doubles simulate_terminal returns
+    out = tmp_path / "s.csv"
+    assert run(["simulate", "--p", "0.8", "--q", "0.6", "--n", "150", "--count", "400",
+                "--seed", "21", "--out", str(out)]) == 0
+    _, _, rows = read_csv(out)
+    parsed = np.array([float(r[0]) for r in rows])
+    params = walk.ErwParams(p=0.8, q_first=0.6)
+    assert parsed.tobytes() == walk.simulate_terminal(params, 150, 400, seed=21).tobytes()
 
 
 def test_simulate_histogram(tmp_path):

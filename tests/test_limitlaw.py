@@ -157,6 +157,26 @@ class TestPsiMgf:
         assert_allclose(d.omega, h.omega, rtol=1e-10)
         assert_allclose(d.xi, h.xi, rtol=1e-9)
         assert abs(d.psi - h.psi) <= d.error_estimate
+        # the hp bars are 10^(2 - digits) of each sum's own magnitude
+        assert h.error_estimate == pytest.approx(abs(h.psi) * 1e-38)
+        assert h.omega_error_estimate == pytest.approx(abs(h.omega) * 1e-38)
+
+    # psi and omega at r = -10 from psi_mgf(a, -10.0, precision_digits=40),
+    # rounded to double (the 40-digit run takes about 10 s at a = 0.55)
+    @pytest.mark.parametrize(
+        "a, psi40, omega40",
+        [
+            (0.55, 1.1614191851163974e148, 9.451419926320249e26),
+            (0.75, 70382681061.97777, 16529633.297983624),
+            (0.85, 134732.24435927707, 13806.434657886804),
+        ],
+    )
+    def test_one_error_bar_per_sum(self, a, psi40, omega40):
+        d = limitlaw.psi_mgf(a, -10.0)
+        assert abs(d.psi - psi40) <= d.error_estimate
+        assert abs(d.omega - omega40) <= d.omega_error_estimate
+        # omega's bar is on omega's scale, not psi's (|omega| << |psi| here)
+        assert d.omega_error_estimate < 1e-9 * abs(d.omega)
 
     def test_positive_overflow_guard(self):
         with pytest.raises(SeriesOverflowError):

@@ -1,4 +1,5 @@
-"""Property tests: regime switches are seamless and exact rows are laws.
+"""Property tests: regime switches are seamless, exact rows are laws and
+the 17-digit CSV/JSON floats round-trip.
 
 Examples are derived from the test source (derandomize) and no example
 database is written, so every run checks the same cases.  Hypothesis
@@ -9,6 +10,8 @@ names another place, so a test run leaves nothing in the checkout.
 
 import math
 import os
+import struct
+import sys
 import tempfile
 
 os.environ.setdefault(
@@ -20,7 +23,7 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from numpy.testing import assert_allclose  # noqa: E402
 
-from erwlab import specfun, walk  # noqa: E402
+from erwlab import emit, specfun, walk  # noqa: E402
 from erwlab.errors import ConvergenceError  # noqa: E402
 
 deterministic = settings(derandomize=True, database=None, deadline=None)
@@ -89,3 +92,18 @@ def test_rows_are_laws_and_mixtures_reflect(p, q_first, n):
         # the q_first-mixture reflected (k -> n - k) is the (1 - q_first)-mixture
         mirror = walk.row_at(walk.ErwParams(p=p, q_first=mirror_q), n)
         assert_allclose(row.probs[::-1], mirror.probs, rtol=1e-13, atol=1e-16)
+
+
+@deterministic
+@given(x=st.floats(allow_nan=False, allow_infinity=False))
+@example(x=0.0)
+@example(x=-0.0)
+@example(x=5e-324)  # smallest subnormal
+@example(x=-2.2250738585072009e-308)  # largest subnormal
+@example(x=sys.float_info.max)
+@example(x=-sys.float_info.max)
+def test_fmt_round_trips_every_finite_double(x):
+    # bit-identical, so the sign of zero counts; np.float64 is what the
+    # CLI writes, a float subclass that fmt must format the same way
+    for v in (x, np.float64(x)):
+        assert struct.pack("<d", float(emit.fmt(v))) == struct.pack("<d", x)

@@ -352,6 +352,9 @@ class TestSimulate:
             (1.0, 0.5, 2000, 5, 75),  # blocks of 32: 32 + 32 + 6
             (0.0, 1.0, 17, 0, 10),
             (0.6, 0.5, 1, 3, 40),
+            # odd n: the float32 flips leave half a uint64 buffered, which
+            # the per-trajectory generator reset must clear; 326 + 326 + 37
+            (0.85, 0.4, 201, 11, 700),
         ],
     )
     def test_chunk_matches_reference_loop(self, p, q_first, n, lo, hi):
