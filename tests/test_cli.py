@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -50,6 +51,28 @@ def test_shape_report(tmp_path):
     _, header, rows = read_csv(out)
     assert header[:2] == ["n", "unimodal"]
     assert all(r[1] == "1" for r in rows)
+
+
+# SHA-256 of the whole shape CSV: q_first = 1 rows past the log-concavity
+# threshold, a mixture row, p > 0.85 and p < 1/2
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (["--a", "0.7", "--n-max", "2000"],
+         "5d60e8a179690d9e422e338320e1392f19c2d67d655bf3d150c1cfad385d8c23"),
+        (["--p", "0.8", "--q", "0.4", "--n-max", "300"],
+         "d18296c110ad1afee08910ed041c9eecb459dbdaa3b6a4774069915f38426a15"),
+        (["--p", "0.9", "--n-max", "400"],
+         "678f2fed2d973996363ac47e36db15010f6c9350d7543c684b7877c9415f9dc6"),
+        (["--p", "0.3", "--n-max", "300"],
+         "2925658e8dc93a486df8e94e9f4adae7e80d11be279d2aee36f37acfca25d0e1"),
+    ],
+    ids=["a0.7-n2000", "p0.8-q0.4-n300", "p0.9-n400", "p0.3-n300"],
+)
+def test_shape_csv_sha256(tmp_path, args, digest):
+    out = tmp_path / "shape.csv"
+    assert run(["shape"] + args + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_simulate_deterministic_bytes(tmp_path):

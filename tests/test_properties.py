@@ -1,5 +1,6 @@
-"""Property tests: regime switches are seamless, exact rows are laws and
-the 17-digit CSV/JSON floats round-trip.
+"""Property tests: regime switches are seamless, exact rows are laws,
+check_shape agrees with its loop oracle and the 17-digit CSV/JSON floats
+round-trip.
 
 Examples are derived from the test source (derandomize) and no example
 database is written, so every run checks the same cases.  Hypothesis
@@ -25,6 +26,7 @@ from numpy.testing import assert_allclose  # noqa: E402
 
 from erwlab import emit, specfun, walk  # noqa: E402
 from erwlab.errors import ConvergenceError  # noqa: E402
+from test_walk import assert_same_report, check_shape_reference  # noqa: E402
 
 deterministic = settings(derandomize=True, database=None, deadline=None)
 
@@ -92,6 +94,37 @@ def test_rows_are_laws_and_mixtures_reflect(p, q_first, n):
         # the q_first-mixture reflected (k -> n - k) is the (1 - q_first)-mixture
         mirror = walk.row_at(walk.ErwParams(p=p, q_first=mirror_q), n)
         assert_allclose(row.probs[::-1], mirror.probs, rtol=1e-13, atol=1e-16)
+
+
+@st.composite
+def shape_rows(draw):
+    # a few shared levels give exact ties and plateaus, a geometric body
+    # gives u_k^2 = u_(k-1) u_(k+1) up to rounding, a relative nudge of up
+    # to 2e-12 lands on both sides of the 1e-12 tie rule, and zero runs
+    # pad the tails
+    size = draw(st.integers(1, 30))
+    if draw(st.booleans()):
+        levels = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+        body = draw(st.lists(st.sampled_from(levels) | st.floats(0.0, 1.0),
+                             min_size=size, max_size=size))
+    else:
+        ratio = draw(st.floats(0.2, 5.0))
+        body = [ratio**k for k in range(size)]
+    nudge = draw(st.lists(st.integers(-20, 20), min_size=size, max_size=size))
+    body = [v * (1.0 + k * 1e-13) for v, k in zip(body, nudge)]
+    lead, trail = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    return np.array([0.0] * lead + body + [0.0] * trail)
+
+
+@deterministic
+@given(probs=shape_rows())
+@example(probs=np.array([1.0]))
+@example(probs=np.array([0.0]))
+@example(probs=np.array([0.5, 0.5]))
+@example(probs=np.array([0.2, 0.5, 0.5 * (1.0 + 5e-13), 0.3, 0.3 * (1.0 + 2e-12), 0.1]))
+def test_check_shape_matches_loop_oracle(probs):
+    row = walk.DistributionRow(n=len(probs), probs=probs)
+    assert_same_report(walk.check_shape(row), check_shape_reference(row))
 
 
 @deterministic

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 from fractions import Fraction
@@ -8,6 +9,7 @@ from numpy.testing import assert_allclose
 from scipy import special as sp
 
 from erwlab import walk
+
 
 def brute_force_terminal(p, n, q_first=1.0):
     """Exact distribution of S_n by enumerating every (pick, copy/flip)
@@ -55,6 +57,52 @@ def _simulate_chunk_reference(p, q_first, n, seed, lo, hi):
         x = flat[k * count + cols]
         steps[m] = np.where(u_flip[m] < p, x, -x)
     return steps.sum(axis=0, dtype=np.int64)
+
+
+def check_shape_reference(row):
+    """Shape report by flag-and-break loops over the row, with relative
+    tolerance 1e-12 on every comparison: the former walk.check_shape,
+    kept as the oracle for its whole-row form."""
+    u = np.asarray(row.probs, dtype=float)
+    n = len(u)
+    if n == 1:
+        return walk.ShapeReport(True, 1, 1, True, None)
+
+    diffs = u[1:] - u[:-1]
+    tol = 1e-12 * np.maximum(np.abs(u[1:]), np.abs(u[:-1]))
+    seen_drop = False
+    unimodal = True
+    for d, t in zip(diffs, tol):
+        if d < -t:
+            seen_drop = True
+        elif d > t and seen_drop:
+            unimodal = False
+            break
+
+    peak = u.max()
+    plateau = np.flatnonzero(u >= peak * (1.0 - 1e-12))
+    mode_lo = int(plateau[0]) + 1
+    mode_hi = int(plateau[-1]) + 1
+
+    log_concave = True
+    first_violation = None
+    # boundary convention u_0 = u_{n+1} = 0 makes k = 1 and k = n automatic
+    for i in range(1, n - 1):
+        lhs = u[i] * u[i]
+        rhs = u[i - 1] * u[i + 1]
+        if lhs < rhs - 1e-12 * max(lhs, rhs):
+            log_concave = False
+            first_violation = i + 1
+            break
+    return walk.ShapeReport(unimodal, mode_lo, mode_hi, log_concave, first_violation)
+
+
+def assert_same_report(got, want):
+    # field by field and type by type: the shape CSV writes bool as 0/1
+    # and an int as its digits, so a numpy scalar would change its bytes
+    for field in dataclasses.fields(walk.ShapeReport):
+        g, w = getattr(got, field.name), getattr(want, field.name)
+        assert type(g) is type(w) and g == w, (field.name, g, w)
 
 
 def evolve_q_exact(p, n_max):
@@ -239,6 +287,18 @@ class TestShape:
             rows = walk.evolve_distribution(params, 50)
             all_lc = all(walk.check_shape(r).log_concave for r in rows[2:])
             assert all_lc == (a <= a0), f"threshold mismatch at a={a}"
+
+    @pytest.mark.parametrize("q_first", [1.0, 0.4])
+    def test_matches_loop_reference(self, q_first):
+        # exact rows on both sides of a = 0 and of the log-concavity
+        # threshold, then the c03-style a-scan over rows 3..50
+        for p in (0.05, 0.3, 0.5, 0.6, 0.75, 0.8, 0.9, 0.95):
+            for row in walk.iter_rows(walk.ErwParams(p=p, q_first=q_first), 300):
+                assert_same_report(walk.check_shape(row), check_shape_reference(row))
+        for a in np.arange(0.5, 0.7501, 1e-2):
+            params = walk.ErwParams(p=(1.0 + float(a)) / 2.0, q_first=q_first)
+            for row in walk.iter_rows(params, 50):
+                assert_same_report(walk.check_shape(row), check_shape_reference(row))
 
     def test_n3_margin_flips_at_root(self):
         a0 = walk.log_concavity_root(0)
