@@ -54,7 +54,6 @@ from .walk import (
     StepDensity,
     check_shape,
     evolve_distribution,
-    evolution_drift,
     iter_rows,
     log_concavity_root,
     row_at,

@@ -200,7 +200,7 @@ def cmd_tails(args):
     ctx = moments.context(a)
     params = walk.ErwParams.from_a(a, q_first=args.q)
     row = walk.row_at(params, args.n)
-    density = walk.scaled_density(row, a, kind="step")
+    density = walk.scaled_density(row, a)
     grid = _grid(args.grid) if args.grid else np.linspace(0.5, 4.5, 33)
     rows = []
     for x in grid:
@@ -209,8 +209,8 @@ def cmd_tails(args):
         rows.append(
             (
                 x,
-                limitlaw.tail(ctx, x, "positive", log=True),
-                limitlaw.tail(ctx, x, "negative", log=True),
+                limitlaw.tail(ctx, x, "positive", q=args.q, log=True),
+                limitlaw.tail(ctx, x, "negative", q=args.q, log=True),
                 math.log(f) if f > 0.0 else float("-inf"),
             )
         )

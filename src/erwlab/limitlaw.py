@@ -315,10 +315,16 @@ def eta_asymptote(a, r):
 def asymptote(ctx, side, q=None):
     """TailAsymptote record for one side (or the tail ratio).
 
-    With q given, both sides use the positive-side shape weighted q and
-    1-q: a mixed first step puts a reflected copy of the heavy tail on
-    the negative axis, which dominates the q_first = 1 negative tail.
+    q is the first-step parameter q_first; None and 1 give the unmixed
+    records and 0 gives them with the sides swapped.  For 0 < q < 1 both
+    sides use the positive-side shape weighted q and 1-q: a mixed first
+    step puts a reflected copy of the heavy tail on the negative axis,
+    which dominates the q_first = 1 negative tail.
     """
+    if q == 0.0 and side in ("positive", "negative"):
+        return asymptote(ctx, "negative" if side == "positive" else "positive")
+    if q == 1.0:
+        q = None
     a = ctx.a
     stretch = (1.0 - a) * (a**a / ctx.rho) ** (1.0 / (1.0 - a))
     stretch_power = 1.0 / (1.0 - a)

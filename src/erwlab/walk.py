@@ -86,31 +86,21 @@ class ShapeReport:
 
 @dataclass(frozen=True)
 class StepDensity:
-    """Density of n^(-a) S_n: 'step' holds interval heights between
-    len(values)+1 breakpoints; 'piecewise-affine' holds node values at the
-    breakpoints with linear interpolation between and zero outside."""
+    """Step density of n^(-a) S_n: height values[i] on the interval
+    (breakpoints[i], breakpoints[i+1]], zero outside."""
 
     breakpoints: np.ndarray
     values: np.ndarray
-    kind: str
 
     def integral(self):
-        if self.kind == "step":
-            return float(np.dot(np.diff(self.breakpoints), self.values))
-        mid = 0.5 * (self.values[1:] + self.values[:-1])
-        return float(np.dot(np.diff(self.breakpoints), mid))
+        return float(np.dot(np.diff(self.breakpoints), self.values))
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
-        if self.kind == "step":
-            idx = np.searchsorted(self.breakpoints, x, side="left") - 1
-            inside = (idx >= 0) & (idx < len(self.values)) & (x > self.breakpoints[0])
-            out = np.zeros_like(x)
-            out[inside] = self.values[np.clip(idx[inside], 0, len(self.values) - 1)]
-            return out
-        out = np.interp(x, self.breakpoints, self.values, left=0.0, right=0.0)
-        # interp pins the outside to the edge values at exact endpoints; zero them
-        out = np.where((x < self.breakpoints[0]) | (x > self.breakpoints[-1]), 0.0, out)
+        idx = np.searchsorted(self.breakpoints, x, side="left") - 1
+        inside = (idx >= 0) & (idx < len(self.values)) & (x > self.breakpoints[0])
+        out = np.zeros_like(x)
+        out[inside] = self.values[np.clip(idx[inside], 0, len(self.values) - 1)]
         return out
 
 
@@ -170,52 +160,28 @@ def evolve_distribution(params, n_max):
     return list(iter_rows(params, n_max))
 
 
-def evolution_drift(params, n_max):
-    """Max |sum - 1| over the q_first = 1 rows of iter_rows, each advanced
-    once more before renormalisation; 0.0 for n_max < 2."""
-    if n_max < 2:
-        return 0.0
-    return max(
-        abs(_advance(row.probs, row.n, params.p).sum() - 1.0)
-        for row in iter_rows(ErwParams(p=params.p), n_max - 1)
-    )
-
-
 def check_shape(row):
     """Unimodality and log-concavity of a row, with relative tolerance
     1e-12 on every comparison (ties satisfy both inequalities)."""
     u = np.asarray(row.probs, dtype=float)
-    n = len(u)
-    if n == 1:
-        return ShapeReport(True, 1, 1, True, None)
-
     diffs = u[1:] - u[:-1]
     tol = _REL_TOL * np.maximum(np.abs(u[1:]), np.abs(u[:-1]))
-    seen_drop = False
-    unimodal = True
-    for d, t in zip(diffs, tol):
-        if d < -t:
-            seen_drop = True
-        elif d > t and seen_drop:
-            unimodal = False
-            break
+    # unimodal: no rise after the first drop
+    rise_after_drop = (diffs > tol) & np.logical_or.accumulate(diffs < -tol)
 
-    peak = u.max()
-    plateau = np.flatnonzero(u >= peak * (1.0 - _REL_TOL))
-    mode_lo = int(plateau[0]) + 1
-    mode_hi = int(plateau[-1]) + 1
+    plateau = np.flatnonzero(u >= u.max() * (1.0 - _REL_TOL))
 
-    log_concave = True
-    first_violation = None
     # boundary convention u_0 = u_{n+1} = 0 makes k = 1 and k = n automatic
-    for i in range(1, n - 1):
-        lhs = u[i] * u[i]
-        rhs = u[i - 1] * u[i + 1]
-        if lhs < rhs - _REL_TOL * max(lhs, rhs):
-            log_concave = False
-            first_violation = i + 1
-            break
-    return ShapeReport(unimodal, mode_lo, mode_hi, log_concave, first_violation)
+    lhs = u[1:-1] * u[1:-1]
+    rhs = u[:-2] * u[2:]
+    violations = np.flatnonzero(lhs < rhs - _REL_TOL * np.maximum(lhs, rhs))
+    return ShapeReport(
+        unimodal=not rise_after_drop.any(),
+        mode_lo=int(plateau[0]) + 1,
+        mode_hi=int(plateau[-1]) + 1,
+        log_concave=violations.size == 0,
+        first_violation=int(violations[0]) + 2 if violations.size else None,
+    )
 
 
 # threshold polynomials for log-concavity of all rows n >= q + 3
@@ -252,30 +218,15 @@ def log_concavity_root(q_index):
     return bisect_newton(poly, slope, 0.5, 1.0, ftol)
 
 
-def scaled_density(row, a, kind="step"):
-    """Finite-n density of n^(-a) S_n.
-
-    'step': height n^a P(n,k)/2 on (n^(-a)(2k-n-1), n^(-a)(2k-n+1)].
-    'piecewise-affine': the continuous interpolation with node values
-    n^a P(n,k) / (2 - P_first - P_last) at n^(-a)(2k-n).
-    """
+def scaled_density(row, a):
+    """Finite-n step density of n^(-a) S_n: height n^a P(n,k)/2 on
+    (n^(-a)(2k-n-1), n^(-a)(2k-n+1)]."""
     if not (0.5 < a < 1.0):
         raise ValueError(f"scaled_density requires a in (1/2, 1), got {a!r}")
     scale = float(row.n) ** a
     s = row.support().astype(float)
-    if kind == "step":
-        edges = np.concatenate([(s - 1.0), [s[-1] + 1.0]]) / scale
-        return StepDensity(breakpoints=edges, values=scale * row.probs / 2.0, kind="step")
-    if kind == "piecewise-affine":
-        if len(row.probs) < 2:
-            raise ValueError("piecewise-affine density needs at least two support points")
-        norm = 2.0 - row.probs[0] - row.probs[-1]
-        return StepDensity(
-            breakpoints=s / scale,
-            values=scale * row.probs / norm,
-            kind="piecewise-affine",
-        )
-    raise ValueError(f"unknown density kind {kind!r}")
+    edges = np.concatenate([(s - 1.0), [s[-1] + 1.0]]) / scale
+    return StepDensity(breakpoints=edges, values=scale * row.probs / 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,24 @@ def test_tails_csv(tmp_path):
         assert float(r[1]) > float(r[2])  # positive tail is heavier
 
 
+def test_tails_columns_follow_q(tmp_path):
+    # the asymptote columns mix the heavy tail q and 1-q; q = 0 mirrors
+    # q = 1, and q = 1 keeps the unmixed bytes
+    cols = {}
+    for q in ("1", "0.4", "0"):
+        out = tmp_path / f"tails_{q}.csv"
+        assert run(["tails", "--a", "0.75", "--n", "400", "--q", q, "--out", str(out)]) == 0
+        cols[q] = [(float(r[1]), float(r[2])) for r in read_csv(out)[2]]
+        if q == "1":
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+                "ab485364f46c37313d5700154a895fbadfcfc512b16c2283eb87dce9ee6492f8"
+            )
+    for (pos, neg), (pos04, neg04), (pos0, neg0) in zip(cols["1"], cols["0.4"], cols["0"]):
+        assert pos04 == pytest.approx(math.log(0.4) + pos, rel=1e-14, abs=1e-14)
+        assert neg04 == pytest.approx(math.log(0.6) + pos, rel=1e-14, abs=1e-14)
+        assert (pos0, neg0) == (neg, pos)
+
+
 def test_specfun_json(tmp_path):
     out = tmp_path / "sf.json"
     assert run(["specfun", "--fn", "mittag_leffler", "--params", "1.0",

@@ -265,6 +265,10 @@ class TestTails:
         base = limitlaw.tail(ctx, 2.0, "positive")
         assert_allclose(limitlaw.tail(ctx, 2.0, "positive", q=q), q * base, rtol=1e-14)
         assert_allclose(limitlaw.tail(ctx, 2.0, "negative", q=q), (1.0 - q) * base, rtol=1e-14)
+        # the end points are the unmixed records, swapped at q = 0
+        for side, mirror in (("positive", "negative"), ("negative", "positive")):
+            assert limitlaw.asymptote(ctx, side, q=1.0) == limitlaw.asymptote(ctx, side)
+            assert limitlaw.asymptote(ctx, side, q=0.0) == limitlaw.asymptote(ctx, mirror)
 
     def test_underflow_contract(self):
         ctx = moments.context(0.75)

@@ -98,19 +98,23 @@ def test_rows_are_laws_and_mixtures_reflect(p, q_first, n):
 
 @st.composite
 def shape_rows(draw):
-    # a few shared levels give exact ties and plateaus, a geometric body
-    # gives u_k^2 = u_(k-1) u_(k+1) up to rounding, a relative nudge of up
-    # to 2e-12 lands on both sides of the 1e-12 tie rule, and zero runs
-    # pad the tails
-    size = draw(st.integers(1, 30))
-    if draw(st.booleans()):
-        levels = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+    # a few shared levels give exact ties, a peak plateau gives ties at
+    # the mode, a geometric body gives u_k^2 = u_(k-1) u_(k+1) up to
+    # rounding, relative nudges of 5e-13 and 2e-12 land on both sides of
+    # the 1e-12 tie rule, and zero runs pad the tails
+    shape = draw(st.sampled_from(["levels", "plateau", "geometric"]))
+    if shape == "levels":
+        levels = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
         body = draw(st.lists(st.sampled_from(levels) | st.floats(0.0, 1.0),
-                             min_size=size, max_size=size))
+                             min_size=1, max_size=30))
+    elif shape == "plateau":
+        peak = draw(st.floats(0.1, 1.0))
+        body = [peak / 4, peak / 2] + [peak] * draw(st.integers(2, 8)) + [peak / 2, peak / 4]
     else:
         ratio = draw(st.floats(0.2, 5.0))
-        body = [ratio**k for k in range(size)]
-    nudge = draw(st.lists(st.integers(-20, 20), min_size=size, max_size=size))
+        body = [ratio**k for k in range(draw(st.integers(1, 30)))]
+    size = len(body)
+    nudge = draw(st.lists(st.sampled_from([0, -5, 5, -20, 20]), min_size=size, max_size=size))
     body = [v * (1.0 + k * 1e-13) for v, k in zip(body, nudge)]
     lead, trail = draw(st.integers(0, 3)), draw(st.integers(0, 3))
     return np.array([0.0] * lead + body + [0.0] * trail)
