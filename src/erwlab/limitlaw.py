@@ -321,6 +321,8 @@ def asymptote(ctx, side, q=None):
     step puts a reflected copy of the heavy tail on the negative axis,
     which dominates the q_first = 1 negative tail.
     """
+    if q is not None and not 0.0 <= q <= 1.0:
+        raise ValueError(f"first-step parameter q must be in [0, 1], got {q!r}")
     if q == 0.0 and side in ("positive", "negative"):
         return asymptote(ctx, "negative" if side == "positive" else "positive")
     if q == 1.0:

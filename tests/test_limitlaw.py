@@ -339,3 +339,6 @@ class TestTails:
             limitlaw.tail(ctx, 0.0, "positive")
         with pytest.raises(ValueError):
             limitlaw.tail(ctx, 1.0, "sideways")
+        for q in (-0.1, 1.5, float("nan")):
+            with pytest.raises(ValueError):
+                limitlaw.tail(ctx, 1.0, "positive", q=q, log=True)

@@ -309,7 +309,7 @@ class TestShape:
     @pytest.mark.parametrize("q_first", [1.0, 0.4])
     def test_matches_loop_reference(self, q_first):
         # exact rows on both sides of a = 0 and of the log-concavity
-        # threshold, then the c03-style a-scan over rows 3..50
+        # threshold, then the c03-style a-scan over rows 1..50
         for p in (0.05, 0.3, 0.5, 0.6, 0.75, 0.8, 0.9, 0.95):
             for row in walk.iter_rows(walk.ErwParams(p=p, q_first=q_first), 300):
                 assert_same_report(walk.check_shape(row), check_shape_reference(row))
