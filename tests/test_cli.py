@@ -45,6 +45,15 @@ def test_dist_all_rows(tmp_path):
     assert len(rows) == 1 + 2 + 3 + 4 + 5
 
 
+def test_dist_all_rows_csv_sha256(tmp_path):
+    out = tmp_path / "dist.csv"
+    args = ["dist", "--p", "0.8", "--q", "0.4", "--n-max", "400", "--all-rows"]
+    assert run(args + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "931501a51f2d58b3563e89818f49e34aa85d16aee261d94d48c665c1a18eb22f"
+    )
+
+
 def test_shape_report(tmp_path):
     out = tmp_path / "shape.csv"
     assert run(["shape", "--a", "0.7", "--n-max", "30", "--out", str(out)]) == 0

@@ -215,7 +215,8 @@ class TestEvolve:
 
     @pytest.mark.parametrize(
         "p, q_first, n_max",
-        [(0.875, 1.0, 200), (0.8, 0.4, 200), (0.3, 0.0, 57), (0.95, 1.0, 1)],
+        [(0.875, 1.0, 200), (0.8, 0.4, 200), (0.3, 0.0, 57), (0.95, 1.0, 1),
+         (0.0, 1.0, 150), (0.5, 1.0, 200), (1.0, 0.3, 150)],
     )
     def test_streamed_rows_byte_identical(self, p, q_first, n_max):
         # reference: the list-building loop (advance, renormalise, then mix)
@@ -247,6 +248,31 @@ class TestEvolve:
             assert s.n == l.n == n and s.k_lo == l.k_lo == k_lo
             assert s.probs.dtype == l.probs.dtype == np.float64
             assert s.probs.tobytes() == l.probs.tobytes() == r.tobytes()
+
+    # SHA-256 over the bytes of every streamed row: p = 0.875 reaches the
+    # subnormal onset before n = 12000; mixtures at p < 1/2 and p = 1/2;
+    # both ends of the p range
+    @pytest.mark.parametrize(
+        "p, q_first, n_max, digest",
+        [
+            (0.875, 1.0, 12000,
+             "e88b0d18ca539f705cf9bce2d760a9e841610eb3d76a91153f9b107f0d71466a"),
+            (0.3, 0.0, 1500,
+             "cb7358572aa3524680402d474cc47a60b75939bdb27e3daad085d5025b2e0311"),
+            (0.5, 0.4, 1000,
+             "72e6eb2e078b11933ea683e8bfe96bf63b16c8ac2aaddf75325f25c81de52fef"),
+            (0.0, 1.0, 300,
+             "20dd9e0a5d0cc30b6bab9a1980c04609e750c09428846a4dc81d8d8db3de77e3"),
+            (1.0, 1.0, 300,
+             "55e0bfd154592d9dda7f793579cb26ce1c2c51cccf775c1c512dc1fafa381fb3"),
+        ],
+        ids=["p0.875-n12000", "p0.3-q0-n1500", "p0.5-q0.4-n1000", "p0-n300", "p1-n300"],
+    )
+    def test_streamed_rows_sha256(self, p, q_first, n_max, digest):
+        h = hashlib.sha256()
+        for row in walk.iter_rows(walk.ErwParams(p=p, q_first=q_first), n_max):
+            h.update(row.probs.tobytes())
+        assert h.hexdigest() == digest
 
     @pytest.mark.parametrize("p, q_first, n", [(0.875, 1.0, 200), (0.8, 0.4, 57), (0.3, 0.0, 1)])
     def test_row_at_is_last_streamed_row(self, p, q_first, n):
