@@ -64,14 +64,16 @@ def cmd_dist(args):
         rows = walk.iter_rows(params, args.n_max)
     else:
         rows = [walk.row_at(params, args.n_max)]
-    out = []
-    for row in rows:
-        for k, prob in zip(range(row.k_lo, row.k_lo + len(row.probs)), row.probs):
-            out.append((row.n, k, 2 * k - row.n, float(prob)))
+    # streamed to the writer: one row is held at a time
+    entries = (
+        (row.n, k, 2 * k - row.n, float(prob))
+        for row in rows
+        for k, prob in zip(range(row.k_lo, row.k_lo + len(row.probs)), row.probs)
+    )
     write_csv(
         args.out,
         ("n", "k", "s", "prob"),
-        out,
+        entries,
         meta={"command": "dist", "p": params.p, "q_first": params.q_first, "n_max": args.n_max},
     )
     return 0

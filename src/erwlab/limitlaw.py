@@ -276,13 +276,7 @@ def _psi_mgf_hp(a, r, digits, n_max):
         aa = mp.mpf(a)
         rho_mp = ((mp.gamma(mp.mpf(1) / 2 + 1 / (2 * aa)) * mp.gamma(1 - 1 / (2 * aa)))
                   / mp.sqrt(mp.pi)) ** aa
-        mt = [mp.mpf(1), 1 / rho_mp]
-        c = [mp.mpf(1), aa]
-        for n in range(2, n_max + 1):
-            cn = mp.mpf(1) if n % 2 == 0 else aa
-            s = mp.fsum(c[i] * mt[i] * mt[n - i] for i in range(1, n))
-            mt.append(s / (n * aa - cn))
-            c.append(cn)
+        mt = _moments_hp(aa, rho_mp, n_max)
         rr = mp.mpf(r)
         gam = [mp.gamma(1 + aa * n) for n in range(n_max + 1)]
         b = [mt[n] / gam[n] for n in range(n_max + 1)]
@@ -298,6 +292,31 @@ def _psi_mgf_hp(a, r, digits, n_max):
             r=r, psi=float(psi), omega=float(w0), xi=float(xi), eta=float(eta),
             error_estimate=float(abs(psi) * tol), omega_error_estimate=float(abs(w0) * tol),
         )
+
+
+def _moments_hp(aa, rho_mp, n_max):
+    """rho-scaled moments m_0..m_n_max at the working mpmath precision:
+    the recurrence of moments.moment_sequence,
+    m_n = sum_{i=1}^{n-1} c_i m_i m_{n-i} / (n a - c_n), c_i = 1 for even i
+    and a for odd i, with the terms i and n - i paired.  For odd n their
+    factors add to 1 + a; for even n they are equal, and the middle term
+    appears once.  Each half is one mp.fdot."""
+    import mpmath as mp
+
+    mt = [mp.mpf(1), 1 / rho_mp]
+    cm = [mt[0], aa * mt[1]]  # c_i m_i
+    for n in range(2, n_max + 1):
+        h = n // 2
+        upper = mt[n - 1 : n - h - 1 : -1]  # m_{n-1} .. m_{n-h}
+        if n % 2:
+            cn = aa
+            s = (1 + aa) * mp.fdot(mt[1 : h + 1], upper)
+        else:
+            cn = mp.mpf(1)
+            s = 2 * mp.fdot(cm[1:h], upper[:-1]) + cm[h] * mt[h]
+        mt.append(s / (n * aa - cn))
+        cm.append(cn * mt[n])
+    return mt
 
 
 def eta_asymptote(a, r):

@@ -104,14 +104,24 @@ class StepDensity:
         return out
 
 
-def _advance(probs, n, p):
-    """One recurrence step: row at time n (q_first = 1 layout) to time n+1,
-    without renormalisation."""
-    a = 2.0 * p - 1.0
-    prev = np.zeros(n + 2)
-    prev[1 : n + 1] = probs
-    k = np.arange(1, n + 2)
-    return ((n * p - a * k) * prev[1:] + ((1.0 - p) * n + a * (k - 1)) * prev[:-1]) / n
+def _step(prev, n, p, ak, c_hi, c_lo):
+    """One recurrence step in place, without renormalisation.
+
+    prev[1 : n + 1] holds row n (q_first = 1 layout) between the zero pads
+    prev[0] and prev[n + 1]; afterwards prev[1 : n + 2] holds row n + 1,
+    which the returned view shows.  ak[k] = a k; c_hi and c_lo are scratch
+    of at least n + 1 entries.  The operations and their order are those of
+    the recurrence as written in the module docstring, the products with
+    the zero pads included (c * 0.0 can be -0.0).
+    """
+    hi, lo = c_hi[: n + 1], c_lo[: n + 1]
+    np.subtract(n * p, ak[1 : n + 2], out=hi)
+    hi *= prev[1 : n + 2]
+    np.add((1.0 - p) * n, ak[: n + 1], out=lo)
+    lo *= prev[: n + 1]
+    out = np.add(hi, lo, out=prev[1 : n + 2])
+    out /= n
+    return out
 
 
 def _mixture(row, q_first):
@@ -128,8 +138,13 @@ def iter_rows(params, n_max):
 
     Row n has n entries for q_first = 1 and n+1 entries otherwise (the
     mixture row); every row is renormalised after the recurrence step.
-    Only the current row is held: O(n_max) memory.  A bad n_max raises
-    here, before the caller has consumed or written anything.
+    Each step runs in place on preallocated scratch, so the generator
+    holds the current row plus four arrays of about n_max doubles: a k,
+    computed once, and three scratch arrays (the padded row and two
+    coefficient arrays).  The only array allocated per step is the row
+    yielded, which the caller may keep.
+    `erwlab dist --all-rows` streams these rows to its CSV.  A bad n_max
+    raises here, before the caller has consumed or written anything.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -137,13 +152,22 @@ def iter_rows(params, n_max):
 
 
 def _rows(params, n_max):
-    probs = np.array([1.0])
+    p = params.p
+    ak = (2.0 * p - 1.0) * np.arange(n_max + 1)
+    prev = np.zeros(n_max + 1)  # the current row between zero pads
+    prev[1] = 1.0
+    c_hi, c_lo = np.empty(n_max), np.empty(n_max)
     for n in range(1, n_max + 1):
         if n > 1:
-            probs = _advance(probs, n - 1, params.p)
+            probs = _step(prev, n - 1, p, ak, c_hi, c_lo)
             probs /= probs.sum()
-        row = DistributionRow(n=n, probs=probs)
-        yield row if params.q_first == 1.0 else _mixture(row, params.q_first)
+        # a view of the scratch row; every yielded row is its own array,
+        # since callers such as evolve_distribution keep them
+        row = DistributionRow(n=n, probs=prev[1 : n + 1])
+        if params.q_first == 1.0:
+            yield DistributionRow(n=n, probs=row.probs.copy())
+        else:
+            yield _mixture(row, params.q_first)
 
 
 def row_at(params, n):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +53,20 @@ def test_dist_all_rows_csv_sha256(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "931501a51f2d58b3563e89818f49e34aa85d16aee261d94d48c665c1a18eb22f"
     )
+
+
+def test_dist_all_rows_streams(tmp_path):
+    # the 80 200 entries at n_max = 400 take about 10 MB as Python tuples;
+    # streamed, the writer holds one row and the recurrence's scratch
+    out = tmp_path / "dist.csv"
+    args = ["dist", "--p", "0.8", "--n-max", "400", "--all-rows", "--out", str(out)]
+    tracemalloc.start()
+    try:
+        assert run(args) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_shape_report(tmp_path):

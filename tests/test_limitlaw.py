@@ -9,6 +9,22 @@ from erwlab import acceptance, limitlaw, moments, walk
 from erwlab.errors import CancellationError, SeriesOverflowError
 
 
+def moments_hp_reference(aa, rho_mp, n_max):
+    """rho-scaled moments by the unpaired convolution, one fsum over all
+    n - 1 products c_i m_i m_{n-i}: the former loop of
+    limitlaw._psi_mgf_hp, kept as the oracle for its paired form."""
+    import mpmath as mp
+
+    mt = [mp.mpf(1), 1 / rho_mp]
+    c = [mp.mpf(1), aa]
+    for n in range(2, n_max + 1):
+        cn = mp.mpf(1) if n % 2 == 0 else aa
+        s = mp.fsum(c[i] * mt[i] * mt[n - i] for i in range(1, n))
+        mt.append(s / (n * aa - cn))
+        c.append(cn)
+    return mt
+
+
 class TestGenFun:
     def test_near_zero(self):
         # B(x)/x -> 1 and M(x) -> 1
@@ -162,7 +178,7 @@ class TestPsiMgf:
         assert h.omega_error_estimate == pytest.approx(abs(h.omega) * 1e-38)
 
     # psi and omega at r = -10 from psi_mgf(a, -10.0, precision_digits=40),
-    # rounded to double (the 40-digit run takes about 10 s at a = 0.55)
+    # rounded to double (the 40-digit run takes about 1.5 s at a = 0.55)
     @pytest.mark.parametrize(
         "a, psi40, omega40",
         [
@@ -177,6 +193,18 @@ class TestPsiMgf:
         assert abs(d.omega - omega40) <= d.omega_error_estimate
         # omega's bar is on omega's scale, not psi's (|omega| << |psi| here)
         assert d.omega_error_estimate < 1e-9 * abs(d.omega)
+
+    @pytest.mark.parametrize("a, digits, n_max", [(0.75, 30, 300), (0.55, 40, 400), (0.9, 50, 257)])
+    def test_hp_moments_match_unpaired_loop(self, a, digits, n_max):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(digits + 10):
+            aa = mp.mpf(a)
+            rho_mp = mp.mpf(moments.rho(a))
+            got = limitlaw._moments_hp(aa, rho_mp, n_max)
+            want = moments_hp_reference(aa, rho_mp, n_max)
+            assert len(got) == len(want) == n_max + 1
+            worst = max(abs(g - w) / abs(w) for g, w in zip(got, want))
+        assert worst < 1e-35
 
     def test_positive_overflow_guard(self):
         with pytest.raises(SeriesOverflowError):

@@ -127,7 +127,12 @@ def evolve_q_exact(p, n_max):
 def evolution_drift(row, p):
     """|sum - 1| of a q_first = 1 row advanced one recurrence step before
     renormalisation: the step conserves mass, so this is rounding alone."""
-    return abs(walk._advance(row.probs, row.n, p).sum() - 1.0)
+    n = row.n
+    prev = np.zeros(n + 2)
+    prev[1 : n + 1] = row.probs
+    ak = (2.0 * p - 1.0) * np.arange(n + 2)
+    nxt = walk._step(prev, n, p, ak, np.empty(n + 1), np.empty(n + 1))
+    return abs(nxt.sum() - 1.0)
 
 
 def exact_mean(params, n):
