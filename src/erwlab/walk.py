@@ -142,9 +142,9 @@ def iter_rows(params, n_max):
     holds the current row plus four arrays of about n_max doubles: a k,
     computed once, and three scratch arrays (the padded row and two
     coefficient arrays).  The only array allocated per step is the row
-    yielded, which the caller may keep.
-    `erwlab dist --all-rows` streams these rows to its CSV.  A bad n_max
-    raises here, before the caller has consumed or written anything.
+    yielded, which the caller may keep; `erwlab dist --all-rows` streams
+    these rows to its CSV.  A bad n_max raises here, before the caller
+    has consumed or written anything.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -161,8 +161,8 @@ def _rows(params, n_max):
         if n > 1:
             probs = _step(prev, n - 1, p, ak, c_hi, c_lo)
             probs /= probs.sum()
-        # a view of the scratch row; every yielded row is its own array,
-        # since callers such as evolve_distribution keep them
+        # every yielded row is its own array: callers such as
+        # evolve_distribution keep them, while prev is overwritten
         row = DistributionRow(n=n, probs=prev[1 : n + 1])
         if params.q_first == 1.0:
             yield DistributionRow(n=n, probs=row.probs.copy())

@@ -178,7 +178,7 @@ class TestPsiMgf:
         assert h.omega_error_estimate == pytest.approx(abs(h.omega) * 1e-38)
 
     # psi and omega at r = -10 from psi_mgf(a, -10.0, precision_digits=40),
-    # rounded to double (the 40-digit run takes about 1.5 s at a = 0.55)
+    # rounded to double (the 40-digit run takes about 1.3 s at a = 0.55)
     @pytest.mark.parametrize(
         "a, psi40, omega40",
         [
@@ -196,7 +196,8 @@ class TestPsiMgf:
 
     @pytest.mark.parametrize("a, digits, n_max", [(0.75, 30, 300), (0.55, 40, 400), (0.9, 50, 257)])
     def test_hp_moments_match_unpaired_loop(self, a, digits, n_max):
-        mp = pytest.importorskip("mpmath")
+        import mpmath as mp
+
         with mp.workdps(digits + 10):
             aa = mp.mpf(a)
             rho_mp = mp.mpf(moments.rho(a))
