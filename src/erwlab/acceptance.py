@@ -1,9 +1,13 @@
 """The acceptance suite: every exit criterion with its pinned tolerance.
 
-Each criterion returns a CriterionResult; run_all executes them in order
-and is what both ``erwlab check`` and tests/test_acceptance.py consume.
+Each criterion is a plain function returning (passed, detail).  CRITERIA
+pairs every function with the name it reports under, and run_all runs
+them in order, timing each the same way; ``erwlab check`` prints its
+results and tests/test_acceptance.py runs one test per criterion.
 Criterion 8 is split into its algebraic-identity part (8a) and the
-finite-n density comparison (8b).
+finite-n density comparison (8b).  The Monte Carlo criterion (9) runs
+simulate_terminal on its default threads (ERWLAB_THREADS, else the CPU
+count capped at 4); its samples do not depend on the thread count.
 """
 
 import math
@@ -25,13 +29,8 @@ class CriterionResult:
     seconds: float
 
 
-def _result(name, passed, detail, t0):
-    return CriterionResult(name, passed, detail, time.perf_counter() - t0)
-
-
 def c01_closed_form_moments():
     """m2 = a/(2a-1), m3 = (a+1)/(2(2a-1)) to 1e-14 relative."""
-    t0 = time.perf_counter()
     worst = 0.0
     for a in np.linspace(0.56, 0.94, 10):
         table = moments.moment_sequence(float(a), 4)
@@ -42,15 +41,12 @@ def c01_closed_form_moments():
             abs(table.unscaled(2) / m2 - 1.0),
             abs(table.unscaled(3) / m3 - 1.0),
         )
-    return _result(
-        "1 closed-form moments", worst < 1e-14, f"max rel err {worst:.2e} (tol 1e-14)", t0
-    )
+    return worst < 1e-14, f"max rel err {worst:.2e} (tol 1e-14)"
 
 
 def c02_rho_consistency():
     """Gamma-product vs integral within 1e-8; endpoint laws approach 1
     monotonically on a = 1/2 + 10^-k and a = 1 - 10^-k, k = 2..6."""
-    t0 = time.perf_counter()
     worst = max(abs(moments.rho(a) - moments.rho_integral(a)) for a in _A_GRID)
     near_half = [
         abs(moments.rho(0.5 + 10.0**-k) * 2.0 * math.sqrt(10.0**-k) - 1.0)
@@ -64,19 +60,15 @@ def c02_rho_consistency():
         x > y for x, y in zip(near_one, near_one[1:])
     )
     ok = worst < 1e-8 and mono
-    return _result(
-        "2 rho consistency",
-        ok,
+    return ok, (
         f"max |gamma-integral| {worst:.2e} (tol 1e-8); endpoint gaps "
-        f"{near_half[-1]:.1e}/{near_one[-1]:.1e} monotone={mono}",
-        t0,
+        f"{near_half[-1]:.1e}/{near_one[-1]:.1e} monotone={mono}"
     )
 
 
 def c03_shape_theorems():
     """Unimodality of every row n <= 500 on the p-grid; the n = 3
     log-concavity flip at the first threshold root; all four roots."""
-    t0 = time.perf_counter()
     all_unimodal = True
     for p in np.arange(0.60, 0.951, 0.05):
         for row in walk.iter_rows(walk.ErwParams(p=float(p)), 500):
@@ -92,19 +84,15 @@ def c03_shape_theorems():
 
     flip_ok = n3_log_concave(roots[0] - 1e-4) and not n3_log_concave(roots[0] + 1e-4)
     ok = all_unimodal and roots_ok and flip_ok
-    return _result(
-        "3 shape theorems",
-        ok,
+    return ok, (
         f"unimodal(all n<=500)={all_unimodal}, roots ok={roots_ok} "
-        f"(a0={roots[0]:.6f}), n=3 flip at a0={flip_ok}",
-        t0,
+        f"(a0={roots[0]:.6f}), n=3 flip at a0={flip_ok}"
     )
 
 
 def c04_residuals():
     """|r_imp| < 1e-9 and relative FD residuals < 1e-5 on 50-point grids
     for every a; O(h^2) decay under step halving."""
-    t0 = time.perf_counter()
     worst_imp = 0.0
     worst_rel = 0.0
     for a in _A_GRID:
@@ -118,18 +106,14 @@ def c04_residuals():
     decay = abs(big.r_m) / max(abs(half.r_m), 1e-300)
     decay_ok = 3.0 < decay < 5.5
     ok = worst_imp < 1e-9 and worst_rel < 1e-5 and decay_ok
-    return _result(
-        "4 implicit/ODE residuals",
-        ok,
+    return ok, (
         f"max |r_imp| {worst_imp:.2e} (tol 1e-9), max rel residual "
-        f"{worst_rel:.2e} (tol 1e-5), halving ratio {decay:.2f} (expect ~4)",
-        t0,
+        f"{worst_rel:.2e} (tol 1e-5), halving ratio {decay:.2f} (expect ~4)"
     )
 
 
 def c05_series_vs_closed_form():
     """|M(x) - sum_{n<=60} m_n x^n| < 1e-9 for rho x <= 0.3."""
-    t0 = time.perf_counter()
     worst = 0.0
     for a in _A_GRID:
         table = moments.moment_sequence(a, 60)
@@ -138,15 +122,12 @@ def c05_series_vs_closed_form():
             x = frac / table.rho
             series = float(np.dot(table.scaled * table.rho**powers, x**powers))
             worst = max(worst, abs(limitlaw.genfun(a, x).m - series))
-    return _result(
-        "5 series vs closed form", worst < 1e-9, f"max |M - series| {worst:.2e} (tol 1e-9)", t0
-    )
+    return worst < 1e-9, f"max |M - series| {worst:.2e} (tol 1e-9)"
 
 
 def c06_moment_asymptotics():
     """a = 2/3: leading ratio within 2% at n = 500; parity-split
     second-order limits within 10% at n = 500/501."""
-    t0 = time.perf_counter()
     a = 2.0 / 3.0
     ctx = moments.context(a)
     table = moments.moment_sequence(a, 501)
@@ -163,19 +144,15 @@ def c06_moment_asymptotics():
         abs(v_even / even_target - 1.0) < 0.10 and abs(v_odd / odd_target - 1.0) < 0.10
     )
     ok = lead < 0.02 and parity_ok
-    return _result(
-        "6 moment asymptotics",
-        ok,
+    return ok, (
         f"|ratio-1| at n=500: {lead:.2e} (tol 0.02); parity gaps "
-        f"{abs(v_even / even_target - 1):.3f}/{abs(v_odd / odd_target - 1):.3f} (tol 0.10)",
-        t0,
+        f"{abs(v_even / even_target - 1):.3f}/{abs(v_odd / odd_target - 1):.3f} (tol 0.10)"
     )
 
 
 def c07_mgf_asymptotics():
     """Psi(50)(a+1)/(2 exp((rho 50)^(1/a))) in [0.95, 1.05] and
     xi(100) a / 100^(1/a-1) in [-1.05, -0.95] at a = 0.75."""
-    t0 = time.perf_counter()
     a = 0.75
     r = moments.rho(a)
     psi_ratio = limitlaw.psi_mgf(a, 50.0).psi * (a + 1.0) / (
@@ -183,12 +160,9 @@ def c07_mgf_asymptotics():
     )
     xi_ratio = limitlaw.psi_mgf(a, 100.0).xi * a / 100.0 ** (1.0 / a - 1.0)
     ok = 0.95 < psi_ratio < 1.05 and -1.05 < xi_ratio < -0.95
-    return _result(
-        "7 MGF asymptotics",
-        ok,
+    return ok, (
         f"Psi ratio {psi_ratio:.4f} (band [0.95,1.05]); xi ratio {xi_ratio:.4f} "
-        f"(band [-1.05,-0.95])",
-        t0,
+        f"(band [-1.05,-0.95])"
     )
 
 
@@ -209,7 +183,6 @@ def c08a_tail_ratio_identity():
     prefactor/power route (the log route rounds the huge cancelling
     stretch terms once each, which costs ~eps * stretch * x^(1/(1-a))).
     """
-    t0 = time.perf_counter()
     worst = 0.0
     for a in (0.55, 2.0 / 3.0, 0.75, 0.9):
         ctx = moments.context(a)
@@ -223,9 +196,7 @@ def c08a_tail_ratio_identity():
                 + (pos.power - neg.power) * math.log(x)
             )
             worst = max(worst, abs(lhs / limitlaw.tail_ratio(ctx, x) - 1.0))
-    return _result(
-        "8a tail-ratio identity", worst < 1e-12, f"max rel err {worst:.2e} (tol 1e-12)", t0
-    )
+    return worst < 1e-12, f"max rel err {worst:.2e} (tol 1e-12)"
 
 
 _C08B_LADDER = (1000, 3000, 10_000, 20_000)
@@ -245,7 +216,6 @@ def c08b_density_vs_tail():
     the bound is met only from about n = 1e4.  The rows come from one
     streamed pass that holds a single row at a time.
     """
-    t0 = time.perf_counter()
     a = 0.75
     ctx = moments.context(a)
     devs = [
@@ -255,28 +225,24 @@ def c08b_density_vs_tail():
     ]
     improving = all(x > y for x, y in zip(devs, devs[1:]))
     ok = improving and devs[-1] < 0.15
-    return _result(
-        "8b density vs tail",
-        ok,
+    return ok, (
         f"max dev {' / '.join(f'{d:.3f}' for d in devs)} at "
         f"n = {' / '.join(map(str, _C08B_LADDER))} "
-        f"(tol 0.15 at n={_C08B_LADDER[-1]}), improving={improving}",
-        t0,
+        f"(tol 0.15 at n={_C08B_LADDER[-1]}), improving={improving}"
     )
 
 
-def c09_monte_carlo(threads=None):
+def c09_monte_carlo():
     """Sample mean of n^(-a) S_n vs 1/Gamma(1+a) within 3 SE at n = 1e4,
     and KS distance to the exact scaled CDF at n = 200 under the
     alpha = 1e-3 bound, for a in {0.75, 0.8, 0.9}."""
-    t0 = time.perf_counter()
     count = 100_000
     ks_bound = 3.0 * math.sqrt(math.log(2.0 / 1e-3) / (2.0 * count))
     details = []
     ok = True
     for i, a in enumerate((0.75, 0.8, 0.9)):
         params = walk.ErwParams.from_a(a)
-        samples = walk.simulate_terminal(params, 10_000, count, seed=20_240_000 + i, threads=threads)
+        samples = walk.simulate_terminal(params, 10_000, count, seed=20_240_000 + i)
         target = math.exp(-specfun.gamma_ln(1.0 + a))
         se = samples.std(ddof=1) / math.sqrt(count)
         pull = abs(samples.mean() - target) / se
@@ -291,7 +257,7 @@ def c09_monte_carlo(threads=None):
             pull2 = abs(sq.mean() - moments.limit_moment(a, 2)) / se2
             ok = ok and pull2 < 3.0
 
-        short = walk.simulate_terminal(params, 200, count, seed=20_250_000 + i, threads=threads)
+        short = walk.simulate_terminal(params, 200, count, seed=20_250_000 + i)
         row = walk.row_at(params, 200)
         # scale atoms with params.a so sample and atom floats match exactly
         atoms = row.scaled_support(params.a)
@@ -311,14 +277,11 @@ def c09_monte_carlo(threads=None):
             + (f" pull2={pull2:.2f}SE" if not math.isnan(pull2) else "")
             + f" ks={ks:.4f}"
         )
-    return _result(
-        "9 Monte Carlo agreement", ok, "; ".join(details) + f" (ks bound {ks_bound:.4f})", t0
-    )
+    return ok, "; ".join(details) + f" (ks bound {ks_bound:.4f})"
 
 
 def c10_specfun_identities():
     """Classical identities, all within 1e-9."""
-    t0 = time.perf_counter()
     errs = []
     errs.append(abs(specfun.mittag_leffler(1.0, 1.0).value - math.e))
     errs.append(
@@ -335,46 +298,40 @@ def c10_specfun_identities():
         h = specfun.hyp2f1(0.5, 0.5 + 0.5 / a, 1.5 + 0.5 / a, -1.0 / (z * z))
         errs.append(abs(z ** (-1.0 - 1.0 / a) / (a + 1.0) * h.value - quad))
     worst = max(errs)
-    return _result(
-        "10 special-function identities", worst < 1e-9, f"max abs err {worst:.2e} (tol 1e-9)", t0
-    )
+    return worst < 1e-9, f"max abs err {worst:.2e} (tol 1e-9)"
 
 
 def c11_hamburger_refutation():
     """Some Hankel determinant of {m_n} at a = 2/3 is negative, k <= 15."""
-    t0 = time.perf_counter()
     table = moments.moment_sequence(2.0 / 3.0, 30)
     signs = moments.hankel_test(table, 15)
     negatives = [k for k, s in signs if s < 0]
-    return _result(
-        "11 Hamburger refutation",
-        bool(negatives),
-        f"negative Hankel determinants at k={negatives}" if negatives else "no negative sign found",
-        t0,
+    return bool(negatives), (
+        f"negative Hankel determinants at k={negatives}" if negatives else "no negative sign found"
     )
 
 
 CRITERIA = (
-    c01_closed_form_moments,
-    c02_rho_consistency,
-    c03_shape_theorems,
-    c04_residuals,
-    c05_series_vs_closed_form,
-    c06_moment_asymptotics,
-    c07_mgf_asymptotics,
-    c08a_tail_ratio_identity,
-    c08b_density_vs_tail,
-    c09_monte_carlo,
-    c10_specfun_identities,
-    c11_hamburger_refutation,
+    ("1 closed-form moments", c01_closed_form_moments),
+    ("2 rho consistency", c02_rho_consistency),
+    ("3 shape theorems", c03_shape_theorems),
+    ("4 implicit/ODE residuals", c04_residuals),
+    ("5 series vs closed form", c05_series_vs_closed_form),
+    ("6 moment asymptotics", c06_moment_asymptotics),
+    ("7 MGF asymptotics", c07_mgf_asymptotics),
+    ("8a tail-ratio identity", c08a_tail_ratio_identity),
+    ("8b density vs tail", c08b_density_vs_tail),
+    ("9 Monte Carlo agreement", c09_monte_carlo),
+    ("10 special-function identities", c10_specfun_identities),
+    ("11 Hamburger refutation", c11_hamburger_refutation),
 )
 
 
-def run_all(threads=None):
+def run_all():
+    """CriterionResult of every criterion, in the order of CRITERIA."""
     results = []
-    for crit in CRITERIA:
-        if crit is c09_monte_carlo:
-            results.append(crit(threads=threads))
-        else:
-            results.append(crit())
+    for name, crit in CRITERIA:
+        t0 = time.perf_counter()
+        passed, detail = crit()
+        results.append(CriterionResult(name, passed, detail, time.perf_counter() - t0))
     return results

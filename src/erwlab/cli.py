@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import acceptance, limitlaw, moments, specfun, walk
-from .emit import fmt, write_csv, write_json
+from .emit import write_csv, write_json
 from .errors import ErwLabError
 
 
@@ -26,16 +26,15 @@ class SystemExit2(SystemExit):
 
 
 def _params_from(args):
-    if (args.a is None) == (args.p is None):
-        raise SystemExit2("exactly one of --a / --p must be given")
     if args.a is not None:
         return walk.ErwParams.from_a(args.a, q_first=args.q)
     return walk.ErwParams(p=args.p, q_first=args.q)
 
 
 def _add_param_opts(sp):
-    sp.add_argument("--a", type=float, default=None, help="memory scale a = 2p-1")
-    sp.add_argument("--p", type=float, default=None, help="memory parameter p")
+    one = sp.add_mutually_exclusive_group(required=True)
+    one.add_argument("--a", type=float, help="memory scale a = 2p-1")
+    one.add_argument("--p", type=float, help="memory parameter p")
     sp.add_argument("--q", type=float, default=1.0, help="first-step parameter (default 1)")
     sp.add_argument("--out", default="-", help="output path, '-' for stdout")
 
@@ -51,9 +50,9 @@ def _grid(spec):
     return np.linspace(lo, hi, points)
 
 
-def _threads(args):
+def _threads(threads=None):
     try:
-        return walk.resolve_threads(args.threads)
+        return walk.resolve_threads(threads)
     except ValueError as exc:
         raise SystemExit2(str(exc)) from None
 
@@ -106,7 +105,7 @@ def cmd_shape(args):
 def cmd_simulate(args):
     params = _params_from(args)
     samples = walk.simulate_terminal(
-        params, args.n, args.count, seed=args.seed, threads=_threads(args)
+        params, args.n, args.count, seed=args.seed, threads=_threads(args.threads)
     )
     meta = {
         "command": "simulate",
@@ -145,7 +144,7 @@ def cmd_moments(args):
 
 
 def cmd_rho(args):
-    if args.grid:
+    if args.grid is not None:
         rows = []
         for a in _grid(args.grid):
             a = float(a)
@@ -159,8 +158,6 @@ def cmd_rho(args):
             meta={"command": "rho", "grid": args.grid},
         )
         return 0
-    if args.a is None:
-        raise SystemExit2("rho requires --a or --grid")
     ctx = moments.context(args.a)
     write_json(
         args.out,
@@ -253,11 +250,8 @@ def cmd_specfun(args):
 
 
 def cmd_check(args):
-    threads = _threads(args)
-    ctx = moments.context(args.a)
-    print(f"# context a={fmt(ctx.a)} rho={fmt(ctx.rho)} kappa={fmt(ctx.kappa)} "
-          f"delta={fmt(ctx.delta)} c_pos={fmt(ctx.c_pos)} c_neg={fmt(ctx.c_neg)}")
-    results = acceptance.run_all(threads=threads)
+    _threads()  # a bad ERWLAB_THREADS is a usage error before any criterion runs
+    results = acceptance.run_all()
     width = max(len(r.name) for r in results)
     failed = []
     for r in results:
@@ -308,8 +302,9 @@ def build_parser():
     sp.set_defaults(func=cmd_moments)
 
     sp = sub.add_parser("rho", help="growth-rate constants (JSON for one a, CSV on a grid)")
-    sp.add_argument("--a", type=float, default=None)
-    sp.add_argument("--grid", default=None, help="lo,hi,points")
+    one = sp.add_mutually_exclusive_group(required=True)
+    one.add_argument("--a", type=float)
+    one.add_argument("--grid", help="lo,hi,points")
     sp.add_argument("--out", default="-")
     sp.set_defaults(func=cmd_rho)
 
@@ -340,9 +335,6 @@ def build_parser():
     sp.set_defaults(func=cmd_specfun)
 
     sp = sub.add_parser("check", help="run the full acceptance suite (exit 1 on any failure)")
-    sp.add_argument("--a", type=float, default=0.75,
-                    help="parameter echoed in the context header; criteria pin their own values")
-    sp.add_argument("--threads", type=int, default=None)
     sp.set_defaults(func=cmd_check)
     return ap
 

@@ -85,10 +85,7 @@ class MgfValue:
 
 @dataclass(frozen=True)
 class TailAsymptote:
-    """Density asymptote prefactor * x^power * exp(-stretch * x^stretch_power).
-
-    side 'ratio' holds the closed-form ratio of the two tails instead
-    (stretch terms cancel there and are stored as 0)."""
+    """Density asymptote prefactor * x^power * exp(-stretch * x^stretch_power)."""
 
     side: str
     prefactor: float
@@ -332,7 +329,7 @@ def eta_asymptote(a, r):
 
 
 def asymptote(ctx, side, q=None):
-    """TailAsymptote record for one side (or the tail ratio).
+    """TailAsymptote record for one side.
 
     q is the first-step parameter q_first; None and 1 give the unmixed
     records and 0 gives them with the sides swapped.  For 0 < q < 1 both
@@ -358,36 +355,44 @@ def asymptote(ctx, side, q=None):
             neg_power = (2.0 * a * a - 3.0 * a - 1.0) / (2.0 * (1.0 - a * a))
             return TailAsymptote("negative", ctx.c_neg, neg_power, stretch, stretch_power)
         return TailAsymptote("q-mix", (1.0 - q) * ctx.c_pos, pos_power, stretch, stretch_power, q)
-    if side == "ratio":
-        delta = ctx.delta
-        const = (
-            4.0
-            * math.exp(gamma_ln(delta))
-            / (a + 1.0) ** (2.0 * a / (1.0 + a))
-            * (a / ctx.rho ** (1.0 / a)) ** (2.0 * a / (1.0 - a * a))
-        )
-        return TailAsymptote("ratio", const, 2.0 * a / (1.0 - a * a), 0.0, 0.0)
     raise ValueError(f"unknown side {side!r}")
 
 
 def tail(ctx, x, side, q=None, log=False):
     """Density asymptote at x > 0 on the requested side, evaluated in log
-    space; log=True returns the log value (-inf instead of silent 0)."""
+    space; log=True returns the log value (-inf instead of silent 0).
+    Where x^stretch_power overflows (a near 1) the value reads -inf, or 0
+    with log=False; a value above the double range raises
+    SeriesOverflowError unless log=True."""
     if not (x > 0.0):
         raise ValueError("tail requires x > 0")
     rec = asymptote(ctx, side, q)
-    ln = (
-        math.log(rec.prefactor)
-        + rec.power * math.log(x)
-        - rec.stretch * x**rec.stretch_power
-    )
+    try:
+        stretched = x**rec.stretch_power
+    except OverflowError:
+        return float("-inf") if log else 0.0
+    ln = math.log(rec.prefactor) + rec.power * math.log(x) - rec.stretch * stretched
     if log:
         return ln
-    return math.exp(ln) if ln > -745.0 else 0.0
+    try:
+        return math.exp(ln) if ln > -745.0 else 0.0
+    except OverflowError:
+        raise SeriesOverflowError(f"tail {side} at a={ctx.a!r}, x={x!r} overflows") from None
 
 
 def tail_ratio(ctx, x):
     """Closed-form ratio tail_pos/tail_neg = const * x^(2a/(1-a^2)),
-    evaluated independently of the two prefactors."""
-    rec = asymptote(ctx, "ratio")
-    return rec.prefactor * x**rec.power
+    evaluated independently of the two prefactors (the stretch terms
+    cancel); SeriesOverflowError where x^(2a/(1-a^2)) overflows."""
+    a = ctx.a
+    power = 2.0 * a / (1.0 - a * a)
+    const = (
+        4.0
+        * math.exp(gamma_ln(ctx.delta))
+        / (a + 1.0) ** (2.0 * a / (1.0 + a))
+        * (a / ctx.rho ** (1.0 / a)) ** power
+    )
+    try:
+        return const * x**power
+    except OverflowError:
+        raise SeriesOverflowError(f"tail ratio overflows at a={a!r}, x={x!r}") from None

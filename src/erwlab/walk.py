@@ -133,6 +133,14 @@ def _mixture(row, q_first):
     return DistributionRow(n=n, probs=mixed, k_lo=0)
 
 
+def _own(row, q_first):
+    """A scratch view of a q_first = 1 row as a row of its own: a copy, or
+    its q_first-mixture."""
+    if q_first == 1.0:
+        return DistributionRow(n=row.n, probs=row.probs.copy())
+    return _mixture(row, q_first)
+
+
 def iter_rows(params, n_max):
     """Rows 1..n_max of the exact distribution, yielded one at a time.
 
@@ -148,11 +156,12 @@ def iter_rows(params, n_max):
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    return _rows(params, n_max)
+    return (_own(row, params.q_first) for row in _rows(params.p, n_max))
 
 
-def _rows(params, n_max):
-    p = params.p
+def _rows(p, n_max):
+    """q_first = 1 rows 1..n_max as views of one scratch row, which the
+    next step overwrites."""
     ak = (2.0 * p - 1.0) * np.arange(n_max + 1)
     prev = np.zeros(n_max + 1)  # the current row between zero pads
     prev[1] = 1.0
@@ -161,21 +170,17 @@ def _rows(params, n_max):
         if n > 1:
             probs = _step(prev, n - 1, p, ak, c_hi, c_lo)
             probs /= probs.sum()
-        # every yielded row is its own array: callers such as
-        # evolve_distribution keep them, while prev is overwritten
-        row = DistributionRow(n=n, probs=prev[1 : n + 1])
-        if params.q_first == 1.0:
-            yield DistributionRow(n=n, probs=row.probs.copy())
-        else:
-            yield _mixture(row, params.q_first)
+        yield DistributionRow(n=n, probs=prev[1 : n + 1])
 
 
 def row_at(params, n):
-    """Row n of the exact distribution alone: the last row of iter_rows,
-    in O(n) memory."""
-    for row in iter_rows(ErwParams(p=params.p), n):
+    """Row n of the exact distribution alone, in O(n) memory: only this
+    row leaves the scratch."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    for row in _rows(params.p, n):
         pass
-    return row if params.q_first == 1.0 else _mixture(row, params.q_first)
+    return _own(row, params.q_first)
 
 
 def evolve_distribution(params, n_max):

@@ -10,57 +10,16 @@ only from about n = 1e4.
 from erwlab import acceptance
 
 
-def _run(crit):
-    res = crit()
-    print(f"{'PASS' if res.passed else 'FAIL'}  {res.name}: {res.detail}")
-    assert res.passed, f"{res.name}: {res.detail}"
+def _criterion_test(name, crit):
+    def test():
+        passed, detail = crit()
+        print(f"{'PASS' if passed else 'FAIL'}  {name}: {detail}")
+        assert passed, f"{name}: {detail}"
+
+    return test
 
 
-def test_criterion_01_closed_form_moments():
-    _run(acceptance.c01_closed_form_moments)
-
-
-def test_criterion_02_rho_consistency():
-    _run(acceptance.c02_rho_consistency)
-
-
-def test_criterion_03_shape_theorems():
-    _run(acceptance.c03_shape_theorems)
-
-
-def test_criterion_04_residuals():
-    _run(acceptance.c04_residuals)
-
-
-def test_criterion_05_series_vs_closed_form():
-    _run(acceptance.c05_series_vs_closed_form)
-
-
-def test_criterion_06_moment_asymptotics():
-    _run(acceptance.c06_moment_asymptotics)
-
-
-def test_criterion_07_mgf_asymptotics():
-    _run(acceptance.c07_mgf_asymptotics)
-
-
-def test_criterion_08a_tail_ratio_identity():
-    _run(acceptance.c08a_tail_ratio_identity)
-
-
-def test_criterion_08b_density_vs_tail():
-    # a = 0.75, band [1e-8, 1e-3], tol 0.15 at n = 2e4; the deviation must
-    # fall strictly along n = 1e3 -> 3e3 -> 1e4 -> 2e4 (one streamed pass)
-    _run(acceptance.c08b_density_vs_tail)
-
-
-def test_criterion_09_monte_carlo():
-    _run(acceptance.c09_monte_carlo)
-
-
-def test_criterion_10_specfun_identities():
-    _run(acceptance.c10_specfun_identities)
-
-
-def test_criterion_11_hamburger_refutation():
-    _run(acceptance.c11_hamburger_refutation)
+# one test per entry of CRITERIA, named test_criterion_NN_topic after its
+# function cNN_topic, so the test names stay those of the criteria
+for _name, _crit in acceptance.CRITERIA:
+    globals()["test_criterion_" + _crit.__name__[1:]] = _criterion_test(_name, _crit)

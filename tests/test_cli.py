@@ -177,6 +177,10 @@ def test_tails_csv(tmp_path):
     assert header == ["x", "tail_pos_log", "tail_neg_log", "exact_density_log"]
     for r in rows:
         assert float(r[1]) > float(r[2])  # positive tail is heavier
+    # near a = 1 the stretch term overflows on the default grid's upper end
+    out = tmp_path / "tails_near_one.csv"
+    assert run(["tails", "--a", "0.999", "--n", "200", "--out", str(out)]) == 0
+    assert read_csv(out)[2][-1][1:3] == ["-inf", "-inf"]
 
 
 def test_tails_columns_follow_q(tmp_path):
@@ -214,9 +218,11 @@ def test_specfun_gamma_ln_method(tmp_path):
 
 
 def test_usage_errors_exit_two():
-    with pytest.raises(SystemExit) as exc:
-        run(["dist", "--n-max", "5"])  # neither --a nor --p
-    assert exc.value.code == 2
+    for argv in (["dist", "--n-max", "5"],  # neither --a nor --p
+                 ["rho", "--a", "0.7", "--grid", "0.55,0.95,5"]):  # both
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         run(["nope"])
     assert exc.value.code == 2
@@ -268,12 +274,12 @@ def test_check_table_and_exit_codes(monkeypatch, capsys):
 
     ok = acceptance.CriterionResult("1 stub", True, "fine", 0.01)
     bad = acceptance.CriterionResult("2 stub", False, "broken", 0.02)
-    monkeypatch.setattr(acceptance, "run_all", lambda threads=None: [ok, bad])
+    monkeypatch.setattr(acceptance, "run_all", lambda: [ok, bad])
     assert run(["check"]) == 1
     captured = capsys.readouterr()
     assert "PASS" in captured.out and "FAIL" in captured.out
     assert "2 stub" in captured.err
-    monkeypatch.setattr(acceptance, "run_all", lambda threads=None: [ok])
+    monkeypatch.setattr(acceptance, "run_all", lambda: [ok])
     assert run(["check"]) == 0
 
 

@@ -300,9 +300,18 @@ class TestTails:
             assert limitlaw.asymptote(ctx, side, q=0.0) == limitlaw.asymptote(ctx, mirror)
 
     def test_underflow_contract(self):
-        ctx = moments.context(0.75)
-        assert limitlaw.tail(ctx, 100.0, "positive") == 0.0
-        assert limitlaw.tail(ctx, 100.0, "positive", log=True) < -1e5
+        # at a = 0.999 the stretch term x^(1/(1-a)) itself overflows
+        for a, x in ((0.75, 100.0), (0.999, 4.5)):
+            ctx = moments.context(a)
+            assert limitlaw.tail(ctx, x, "positive") == 0.0
+            assert limitlaw.tail(ctx, x, "positive", log=True) < -1e5
+        # values above the double range raise, their logs stay finite
+        ctx = moments.context(1.0 - 1e-6)
+        with pytest.raises(SeriesOverflowError):
+            limitlaw.tail_ratio(ctx, 2.0)
+        with pytest.raises(SeriesOverflowError):
+            limitlaw.tail(ctx, 0.5, "negative")
+        assert limitlaw.tail(ctx, 0.5, "negative", log=True) > 709.0
 
     def test_density_band_comparison(self):
         # finite-n step density vs the positive asymptote at log scale;

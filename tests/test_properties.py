@@ -1,6 +1,7 @@
 """Property tests: regime switches are seamless, exact rows are laws,
-check_shape agrees with its loop oracle and the 17-digit CSV/JSON floats
-round-trip.
+check_shape agrees with its loop oracle, the 17-digit CSV/JSON floats
+round-trip and the public numeric calls give a finite value or a typed
+error at both ends of the window a in (1/2, 1).
 
 Examples are derived from the test source (derandomize) and no example
 database is written, so every run checks the same cases.  Hypothesis
@@ -9,6 +10,7 @@ to the system temporary directory unless HYPOTHESIS_STORAGE_DIRECTORY
 names another place, so a test run leaves nothing in the checkout.
 """
 
+import dataclasses
 import math
 import os
 import struct
@@ -20,12 +22,13 @@ os.environ.setdefault(
 )
 
 import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from numpy.testing import assert_allclose  # noqa: E402
 
-from erwlab import emit, specfun, walk  # noqa: E402
-from erwlab.errors import ConvergenceError  # noqa: E402
+from erwlab import emit, limitlaw, moments, specfun, walk  # noqa: E402
+from erwlab.errors import ConvergenceError, ErwLabError  # noqa: E402
 from test_walk import assert_same_report, check_shape_reference  # noqa: E402
 
 deterministic = settings(derandomize=True, database=None, deadline=None)
@@ -144,3 +147,48 @@ def test_fmt_round_trips_every_finite_double(x):
     # CLI writes, a float subclass that fmt must format the same way
     for v in (x, np.float64(x)):
         assert struct.pack("<d", float(emit.fmt(v))) == struct.pack("<d", x)
+
+
+def _floats(value):
+    """Every float a result carries: itself, an array's entries or a
+    dataclass's float fields."""
+    if dataclasses.is_dataclass(value):
+        return [v for f in dataclasses.fields(value) for v in _floats(getattr(value, f.name))]
+    if isinstance(value, np.ndarray):
+        return value.ravel().tolist()
+    return [value] if isinstance(value, float) else []
+
+
+@pytest.mark.parametrize("a", [0.5 + 1e-6, 1.0 - 1e-6])
+def test_public_calls_finite_or_typed_error_at_window_edges(a):
+    # each call builds its own inputs, so a typed refusal of a (context and
+    # the moment recurrence require a > 1/2 + 1e-6) counts as that call's error
+    calls = [
+        lambda: moments.rho(a),
+        lambda: moments.rho_integral(a),
+        lambda: moments.context(a),
+        lambda: moments.moment_sequence(a, 20),
+        lambda: moments.limit_moment_ln(a, 10),
+        lambda: moments.asymptotic_moment_ln(moments.context(a), 10),
+        lambda: specfun.f_inverse(a, 1.0),
+        lambda: limitlaw.genfun(a, 0.5 / moments.rho(a)),
+        lambda: limitlaw.residuals(a, 0.5 / moments.rho(a)),
+        lambda: limitlaw.eta_asymptote(a, 1.0),
+        lambda: walk.scaled_density(walk.row_at(walk.ErwParams.from_a(a), 50), a),
+    ]
+    calls += [lambda z=z: specfun.f_eval(a, z) for z in (0.5, 1.1, 5.0)]
+    calls += [lambda r=r: limitlaw.psi_mgf(a, r) for r in (1.0, -1.0)]
+    for x in (0.5, 2.0, 4.5):
+        calls.append(lambda x=x: limitlaw.tail_ratio(moments.context(a), x))
+        for side in ("positive", "negative"):
+            for q in (1.0, 0.4):
+                calls.append(
+                    lambda x=x, side=side, q=q: limitlaw.tail(moments.context(a), x, side, q=q)
+                )
+    for call in calls:
+        try:
+            value = call()
+        except (ErwLabError, ValueError):
+            continue
+        values = _floats(value)
+        assert values and all(math.isfinite(v) for v in values), value
