@@ -188,7 +188,9 @@ def c08a_tail_ratio_identity():
         ctx = moments.context(a)
         pos = limitlaw.asymptote(ctx, "positive")
         neg = limitlaw.asymptote(ctx, "negative")
-        assert pos.stretch == neg.stretch and pos.stretch_power == neg.stretch_power
+        # stretch terms that do not cancel leave the identity unbounded in x
+        if (pos.stretch, pos.stretch_power) != (neg.stretch, neg.stretch_power):
+            worst = math.inf
         for x in (0.5, 1.0, 2.0, 4.0, 8.0, 12.0):
             lhs = math.exp(
                 math.log(pos.prefactor)

@@ -319,6 +319,8 @@ def _moments_hp(aa, rho_mp, n_max):
 def eta_asymptote(a, r):
     """Leading form sqrt(1-a) r^(1/(2a)-1) / a of the tilted standard
     deviation; the same form holds on both half-axes."""
+    if not (0.5 < a < 1.0):
+        raise ValueError("eta_asymptote requires a in (1/2, 1)")
     if not (r > 0.0):
         raise ValueError("eta_asymptote requires r > 0")
     return math.sqrt(1.0 - a) * r ** (1.0 / (2.0 * a) - 1.0) / a

@@ -112,7 +112,7 @@ def moment_sequence(a, n_max):
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     r = rho(a)
-    mt = np.empty(n_max + 1)
+    mt = np.zeros(n_max + 1)  # c * mt below reads every entry
     mt[0] = 1.0
     mt[1] = 1.0 / r
     c = np.where(np.arange(n_max + 1) % 2 == 0, 1.0, a)

@@ -229,22 +229,15 @@ def log_concavity_root(q_index):
     floor, a few eps * sum |c_i| (about 1e-15 in the root)."""
     if q_index not in (0, 1, 2, 3):
         raise ValueError("q_index must be one of 0, 1, 2, 3")
+    # loaded on first use: numpy.polynomial adds about 4 ms and 0.5 MB to
+    # every import of erwlab
+    from numpy.polynomial.polynomial import polyder, polyval
+
     coeffs = _THRESHOLD_POLYS[q_index]
-
-    def poly(x):
-        acc = 0.0
-        for c in reversed(coeffs):
-            acc = acc * x + c
-        return acc
-
-    def slope(x):
-        acc = 0.0
-        for i in range(len(coeffs) - 1, 0, -1):
-            acc = acc * x + i * coeffs[i]
-        return acc
-
+    slope = polyder(coeffs)
     ftol = 4.0 * np.finfo(float).eps * sum(abs(c) for c in coeffs)
-    return bisect_newton(poly, slope, 0.5, 1.0, ftol)
+    root = bisect_newton(lambda x: polyval(x, coeffs), lambda x: polyval(x, slope), 0.5, 1.0, ftol)
+    return float(root)
 
 
 def scaled_density(row, a):

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from erwlab import cli, walk
+from erwlab import cli, specfun, walk
 
 
 def run(argv):
@@ -217,9 +217,26 @@ def test_specfun_gamma_ln_method(tmp_path):
     assert abs(float(data["value"]) - math.log(3.6256099082219083)) < 1e-14
 
 
+@pytest.mark.parametrize("fn, params, z, call", [
+    ("gamma_ln", [], 0.25, lambda: specfun.gamma_ln(0.25)),
+    ("digamma", [], 2.5, lambda: specfun.digamma(2.5)),
+    ("hyp2f1", [0.5, -0.75, 0.25], -4.0, lambda: specfun.hyp2f1(0.5, -0.75, 0.25, -4.0).value),
+    ("mittag_leffler", [0.5], 3.0, lambda: specfun.mittag_leffler(0.5, 3.0).value),
+    ("prabhakar", [0.6, 1.3, 0.5], -5.0, lambda: specfun.prabhakar(0.6, 1.3, 0.5, -5.0).value),
+    ("f", [0.7], 1.1, lambda: specfun.f_eval(0.7, 1.1).value),
+    ("f_inverse", [0.7], 1.0, lambda: specfun.f_inverse(0.7, 1.0)),
+])
+def test_specfun_each_fn(tmp_path, fn, params, z, call):
+    out = tmp_path / "sf.json"
+    argv = ["specfun", "--fn", fn, "--params", *map(str, params), "--z", str(z), "--out", str(out)]
+    assert run(argv) == 0
+    assert float(json.loads(out.read_text())["value"]) == call()
+
+
 def test_usage_errors_exit_two():
     for argv in (["dist", "--n-max", "5"],  # neither --a nor --p
-                 ["rho", "--a", "0.7", "--grid", "0.55,0.95,5"]):  # both
+                 ["rho", "--a", "0.7", "--grid", "0.55,0.95,5"],  # both
+                 ["specfun", "--fn", "hyp2f1", "--params", "0.5", "--z", "0.3"]):  # too short
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 2

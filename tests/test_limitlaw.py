@@ -233,8 +233,9 @@ class TestEtaAsymptote:
         assert_allclose(ratio, 2.0 ** (1.0 / (2.0 * a) - 1.0), rtol=1e-14)
 
     def test_sides_and_domain(self):
-        with pytest.raises(ValueError):
-            limitlaw.eta_asymptote(0.7, -1.0)
+        for a, r in ((0.7, -1.0), (0.3, 1.0), (1.5, 1.0)):
+            with pytest.raises(ValueError):
+                limitlaw.eta_asymptote(a, r)
 
 
 # |log error| allowed at n = 1600 between the Laplace integral of the

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -63,6 +64,13 @@ class TestMomentSequence:
         assert t.scaled[0] == 1.0
         assert_allclose(t.scaled[1], 1.0 / t.rho, rtol=1e-15)
         assert abs(t.asymptotic_ratio(600) - 1.0) < 0.02
+
+    def test_reads_no_uninitialised_memory(self, monkeypatch):
+        # fresh memory may hold a signalling NaN, which makes numpy warn
+        # (an error in this suite) if the recurrence reads it
+        snan = np.frombuffer(struct.pack("<Q", 0x7FF0000000000001))[0]
+        monkeypatch.setattr(np, "empty", lambda n: np.full(n, snan))
+        assert np.all(moments.moment_sequence(0.75, 50).scaled > 0.0)
 
     def test_domain(self):
         with pytest.raises(ValueError):

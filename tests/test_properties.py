@@ -51,11 +51,13 @@ def test_hyp2f1_continuous_across_pfaff_switch(alpha, beta, gamma_c):
 
 
 @deterministic
-@given(a=st.floats(0.5 + 1e-6, 1.0, exclude_max=True))
+@given(a=st.floats(math.nextafter(0.5, 1.0), 1.0, exclude_max=True))
+@example(a=math.nextafter(0.5, 1.0))
+@example(a=0.5 + 1e-9)
 def test_f_eval_continuous_across_regime_switch(a):
     # auto mode takes the ascending 2F1 form up to z = 1.1 and the
-    # descending one beyond; a starts at the moment recurrence's floor,
-    # since the ascending form cancels like Gamma(1 - 1/(2a)) as a -> 1/2
+    # descending one beyond; the ascending form cancels like
+    # Gamma(1 - 1/(2a)) as a -> 1/2, which its bar covers down to one ulp
     z_hi = math.nextafter(1.1, 2.0)
     below = specfun.f_eval(a, 1.1)
     above = specfun.f_eval(a, z_hi)

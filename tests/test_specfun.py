@@ -151,17 +151,34 @@ class TestMittagLeffler:
         assert_allclose(specfun.mittag_leffler(0.5, 1.0).value, ref, rtol=1e-12)
 
     def test_asymptotic_switch_is_seamless(self):
+        # the series just below and above z^(1/alpha) = 35 approximates
+        # exp(z^(1/alpha))/alpha to high accuracy
         alpha = 0.8
         z_lo = (35.0**alpha) * 0.999
         z_hi = (35.0**alpha) * 1.001
         lo = specfun.mittag_leffler(alpha, z_lo)
         hi = specfun.mittag_leffler(alpha, z_hi)
-        assert lo.method == "series"
-        assert hi.method == "asymptotic"
-        # both sides approximate exp(z^(1/alpha))/alpha to high accuracy here
         bridge = math.exp(z_hi ** (1.0 / alpha)) / alpha
         assert_allclose(hi.value, bridge, rtol=1e-12)
         assert_allclose(lo.value, math.exp(z_lo ** (1.0 / alpha)) / alpha, rtol=1e-10)
+
+    @pytest.mark.parametrize("z", [8.874, 17.748])
+    def test_half_erfc_large_argument(self, z):
+        # E_{1/2}(z) = exp(z^2) erfc(-z), here at z^2 = 78.8 and 315
+        got = specfun.mittag_leffler(0.5, z)
+        with mp.workdps(40):
+            ref = mp.exp(mp.mpf(z) ** 2) * mp.erfc(-mp.mpf(z))
+            assert abs(mp.mpf(got.value) - ref) <= got.abs_error_estimate
+
+    def test_overflow_is_typed(self):
+        # beyond the double range the positive axis names the log route
+        for call in (lambda: specfun.mittag_leffler(1.0, 709.9),
+                     lambda: specfun.mittag_leffler(1.0, 1e300),
+                     lambda: specfun.prabhakar(0.5, 1.0, 2.0, 27.0),
+                     # 1/Gamma(200) underflows, the value is about 8.6e-56
+                     lambda: specfun.prabhakar(1.0, 200.0, 1.0, 1300.0)):
+            with pytest.raises(SeriesOverflowError, match="prabhakar_ln"):
+                call()
 
     def test_cancellation_guard(self):
         # at alpha = 0.3 the terms overflow and the sum is NaN
@@ -244,6 +261,20 @@ class TestPrabhakar:
         # the terms overflow and the sum is NaN: a typed error, not NaN
         with pytest.raises(CancellationError):
             specfun.prabhakar(0.3, 1.0, 1.0, -8.0)
+
+    def test_positive_axis_within_bar(self):
+        # seeded points with u = z^(1/alpha) in [8, 35] and [35, 680]: each
+        # value lies within its bar of the 25-digit route; from u = 8 up the
+        # bar needs the rounding of building each term
+        rng = np.random.default_rng(14)
+        for u_lo, u_hi in ((8.0, 35.0),) * 24 + ((35.0, 680.0),) * 12:
+            alpha, beta, gamma_p = rng.uniform(0.1, 1.0), rng.uniform(0.5, 2.5), rng.uniform(0.3, 3.0)
+            z = rng.uniform(u_lo, u_hi) ** alpha
+            ml = specfun.mittag_leffler(alpha, z)
+            pr = specfun.prabhakar(alpha, beta, gamma_p, z)
+            for got, params in ((ml, (alpha, 1.0, 1.0)), (pr, (alpha, beta, gamma_p))):
+                ref = specfun.prabhakar(*params, z, precision_digits=25)
+                assert abs(got.value - ref.value) <= got.abs_error_estimate + ref.abs_error_estimate, params
 
     def test_large_argument_ratio(self):
         # E^g_{a,1}(r) / [r^((g-1)/a) e^(r^(1/a)) / (a^g Gamma(g))] -> 1
