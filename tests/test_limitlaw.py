@@ -299,6 +299,10 @@ class TestTails:
         for side, mirror in (("positive", "negative"), ("negative", "positive")):
             assert limitlaw.asymptote(ctx, side, q=1.0) == limitlaw.asymptote(ctx, side)
             assert limitlaw.asymptote(ctx, side, q=0.0) == limitlaw.asymptote(ctx, mirror)
+        # a bad side is refused whatever q is, the end points included
+        for q in (0.0, q, 1.0):
+            with pytest.raises(ValueError, match="side"):
+                limitlaw.asymptote(ctx, "sideways", q=q)
 
     def test_underflow_contract(self):
         # at a = 0.999 the stretch term x^(1/(1-a)) itself overflows
