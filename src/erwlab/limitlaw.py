@@ -32,6 +32,8 @@ _H_SECOND = _EPS**0.25
 # double-precision cap for negative arguments, in units of rho_a
 _NEG_CAP_DOUBLE = 30.0
 _NEG_CAP_HP = 200.0
+# ln of the largest u = (rho_a |r|)^(1/a): the largest term, >= exp(u - 4.6), overflows beyond
+_LN_U_MAX = math.log(_LOG_MAX + 20.0)
 
 
 @dataclass(frozen=True)
@@ -87,12 +89,10 @@ class MgfValue:
 class TailAsymptote:
     """Density asymptote prefactor * x^power * exp(-stretch * x^stretch_power)."""
 
-    side: str
     prefactor: float
     power: float
     stretch: float
     stretch_power: float
-    q: float | None = None
 
 
 def genfun(a, x):
@@ -182,12 +182,9 @@ def _omega_sums(ln_b, ln_size, u):
     omega(u) = sum b_n u^n, given ln b_n and the per-term log sizes,
     summed with a factored maximum so intermediate magnitudes stay
     representable."""
-    n_max = len(ln_b) - 1
-    ns = np.arange(n_max + 1, dtype=float)
+    ns = np.arange(len(ln_b), dtype=float)
     if u == 0.0:
-        b1 = math.exp(ln_b[1]) if n_max >= 1 else 0.0
-        b2 = math.exp(ln_b[2]) if n_max >= 2 else 0.0
-        return 1.0, b1, 2.0 * b2, 0.0, _EPS
+        return 1.0, math.exp(ln_b[1]), 2.0 * math.exp(ln_b[2]), 0.0, _EPS
     au = abs(u)
     ln_t = ln_b + ns * math.log(au)
     peak = float(ln_t.max())
@@ -196,15 +193,11 @@ def _omega_sums(ln_b, ln_size, u):
             f"psi_mgf series at u={u:g}: its largest term exp({peak:.1f}) overflows double"
         )
     mag = np.exp(ln_t - peak)
-    if u > 0.0:
-        s0 = s1 = s2 = 1.0
-        sign = np.ones(n_max + 1)
-    else:
-        sign = np.where(ns % 2 == 0, 1.0, -1.0)  # sign of u^n
-        s0, s1, s2 = 1.0, -1.0, 1.0  # u^(n-1), u^(n-2) shift the pattern
-    w0 = float(np.dot(mag, sign)) * s0
-    w1 = float(np.dot(mag[1:] * ns[1:], sign[1:])) / au * s1
-    w2 = float(np.dot(mag[2:] * ns[2:] * (ns[2:] - 1.0), sign[2:])) / (au * au) * s2
+    # sign of u^n; dividing by u and u^2 turns it into that of u^(n-1), u^(n-2)
+    sign = np.ones(len(ns)) if u > 0.0 else np.where(ns % 2 == 0, 1.0, -1.0)
+    w0 = float(np.dot(mag, sign))
+    w1 = float(np.dot(mag[1:] * ns[1:], sign[1:])) / u
+    w2 = float(np.dot(mag[2:] * ns[2:] * (ns[2:] - 1.0), sign[2:])) / (u * u)
     scale = math.exp(peak)
     omitted = float(mag[-1]) * scale
     loss = _EPS * float(np.dot(mag, ln_size + ns * abs(math.log(au)))) * scale
@@ -214,19 +207,16 @@ def _omega_sums(ln_b, ln_size, u):
 def psi_mgf(a, r, precision_digits=0):
     """Psi, omega, xi, eta at r.
 
-    Positive r is capped by double overflow of exp((rho r)^(1/a));
-    negative r is capped at 30 rho_a in double precision (less where the
-    largest series term overflows, SeriesOverflowError) and 200 rho_a in
-    the high-precision mode (precision_digits > 0, mpmath; cost grows
-    quadratically with the series length needed).  On the negative axis
-    Psi and omega must each keep their own cancellation loss within
-    1e-6 of their own value (CancellationError otherwise).
+    With u = (rho_a |r|)^(1/a) the terms peak near n = u/a at about
+    exp(u): SeriesOverflowError up front where u > 729 (both half-axes in
+    double precision, r > 0 in the mpmath mode precision_digits > 0) and
+    wherever a sum leaves the double range.  Negative r is capped at 30
+    rho_a in double precision and 200 rho_a in the mpmath mode (cost grows
+    quadratically with the series length), CancellationError beyond;
+    there Psi and omega must each keep their own cancellation loss within
+    1e-6 of their own value.
     """
     rh = rho(a)
-    if r > 0.0 and (rh * r) ** (1.0 / a) > 700.0:
-        raise SeriesOverflowError(
-            f"Psi({r:g}) at a={a:g} overflows double precision"
-        )
     if r < 0.0:
         cap = (_NEG_CAP_HP if precision_digits > 0 else _NEG_CAP_DOUBLE) * rh
         if abs(r) > cap:
@@ -234,6 +224,9 @@ def psi_mgf(a, r, precision_digits=0):
                 f"psi_mgf at r={r:g} is beyond the cap {cap:g} "
                 f"({'high-precision' if precision_digits > 0 else 'double'} mode)"
             )
+    # u in logs, so that no power overflows before the test
+    if (r > 0.0 or r < 0.0 and precision_digits <= 0) and math.log(rh * abs(r)) / a > _LN_U_MAX:
+        raise SeriesOverflowError(f"Psi({r:g}) at a={a:g} overflows double precision")
     peak = (rh * abs(r)) ** (1.0 / a) / a if r != 0.0 else 8.0
     n_max = int(3.0 * peak + 256)
     if precision_digits > 0:
@@ -250,6 +243,7 @@ def psi_mgf(a, r, precision_digits=0):
     if r < 0.0:
         _check_cancellation(psi, loss_psi, f"psi_mgf Psi at r={r:g}")
         _check_cancellation(w0, loss_w, f"psi_mgf omega at r={r:g}")
+    _check_finite(a, r, psi, w0, w1, w2)
     xi = -w1 / w0
     eta2 = w2 / w0 - xi * xi
     err_w = om_w + loss_w
@@ -266,6 +260,11 @@ def psi_mgf(a, r, precision_digits=0):
     )
 
 
+def _check_finite(a, r, *sums):
+    if not all(math.isfinite(v) for v in sums):
+        raise SeriesOverflowError(f"psi_mgf at r={r:g}, a={a:g}: a sum overflows double precision")
+
+
 def _psi_mgf_hp(a, r, digits, n_max):
     import mpmath as mp
 
@@ -275,12 +274,12 @@ def _psi_mgf_hp(a, r, digits, n_max):
                   / mp.sqrt(mp.pi)) ** aa
         mt = _moments_hp(aa, rho_mp, n_max)
         rr = mp.mpf(r)
-        gam = [mp.gamma(1 + aa * n) for n in range(n_max + 1)]
-        b = [mt[n] / gam[n] for n in range(n_max + 1)]
+        b = [mt[n] / mp.gamma(1 + aa * n) for n in range(n_max + 1)]
         psi = mp.fsum(b[n] * (rho_mp * rr) ** n for n in range(n_max + 1))
         w0 = mp.fsum(b[n] * rr**n for n in range(n_max + 1))
         w1 = mp.fsum(n * b[n] * rr ** (n - 1) for n in range(1, n_max + 1))
         w2 = mp.fsum(n * (n - 1) * b[n] * rr ** (n - 2) for n in range(2, n_max + 1))
+        _check_finite(a, r, *(float(v) for v in (psi, w0, w1, w2)))
         xi = -w1 / w0
         eta2 = w2 / w0 - xi * xi
         eta = mp.sqrt(eta2) if eta2 > 0 else mp.mpf(0)
@@ -330,37 +329,30 @@ def eta_asymptote(a, r):
 # tail asymptotes
 
 
-def asymptote(ctx, side, q=None):
-    """TailAsymptote record for one side.
+def asymptote(ctx, side, q=1.0):
+    """TailAsymptote record for side "positive" or "negative".
 
-    q is the first-step parameter q_first; None and 1 give the unmixed
-    records and 0 gives them with the sides swapped.  For 0 < q < 1 both
-    sides use the positive-side shape weighted q and 1-q: a mixed first
-    step puts a reflected copy of the heavy tail on the negative axis,
-    which dominates the q_first = 1 negative tail.
+    q is the first-step parameter q_first.  It gives L's heavy (positive)
+    tail weight q on the positive side and 1 - q, reflected, on the
+    negative side.  A side of weight w > 0 carries w times the heavy
+    tail; a side of weight 0 carries the unmixed law's light tail.
     """
-    if q is not None and not 0.0 <= q <= 1.0:
+    if side not in ("positive", "negative"):
+        raise ValueError(f"unknown side {side!r}")
+    if not 0.0 <= q <= 1.0:
         raise ValueError(f"first-step parameter q must be in [0, 1], got {q!r}")
-    if q == 0.0 and side in ("positive", "negative"):
-        return asymptote(ctx, "negative" if side == "positive" else "positive")
-    if q == 1.0:
-        q = None
     a = ctx.a
     stretch = (1.0 - a) * (a**a / ctx.rho) ** (1.0 / (1.0 - a))
     stretch_power = 1.0 / (1.0 - a)
-    pos_power = (2.0 * a - 1.0) / (2.0 * (1.0 - a))
-    if side == "positive":
-        pref = ctx.c_pos if q is None else q * ctx.c_pos
-        return TailAsymptote("positive" if q is None else "q-mix", pref, pos_power, stretch, stretch_power, q)
-    if side == "negative":
-        if q is None:
-            neg_power = (2.0 * a * a - 3.0 * a - 1.0) / (2.0 * (1.0 - a * a))
-            return TailAsymptote("negative", ctx.c_neg, neg_power, stretch, stretch_power)
-        return TailAsymptote("q-mix", (1.0 - q) * ctx.c_pos, pos_power, stretch, stretch_power, q)
-    raise ValueError(f"unknown side {side!r}")
+    heavy = q if side == "positive" else 1.0 - q
+    if heavy > 0.0:
+        pref, power = heavy * ctx.c_pos, (2.0 * a - 1.0) / (2.0 * (1.0 - a))
+    else:
+        pref, power = ctx.c_neg, (2.0 * a * a - 3.0 * a - 1.0) / (2.0 * (1.0 - a * a))
+    return TailAsymptote(pref, power, stretch, stretch_power)
 
 
-def tail(ctx, x, side, q=None, log=False):
+def tail(ctx, x, side, q=1.0, log=False):
     """Density asymptote at x > 0 on the requested side, evaluated in log
     space; log=True returns the log value (-inf instead of silent 0).
     Where x^stretch_power overflows (a near 1) the value reads -inf, or 0
@@ -377,7 +369,7 @@ def tail(ctx, x, side, q=None, log=False):
     if log:
         return ln
     try:
-        return math.exp(ln) if ln > -745.0 else 0.0
+        return math.exp(ln)
     except OverflowError:
         raise SeriesOverflowError(f"tail {side} at a={ctx.a!r}, x={x!r} overflows") from None
 

@@ -39,6 +39,7 @@ _EPS = 2.220446049250313e-16
 _MAX_TERMS = 10_000
 _HP_MAX_TERMS = 200_000
 _LOG_MAX = 709.0
+_POS_MAX_TERMS = 2_000_000  # term cap of prabhakar_ln and of the positive-axis series
 # series stops once a term's relative contribution drops below this
 _TERM_CUT = 1e-17
 # double-precision cap for alternating-series arguments
@@ -180,7 +181,7 @@ def _series(what, z, alpha, first, ratio):
     if z > 0.0:
         # the terms peak near n = z^(1/alpha) / alpha; capped as in prabhakar_ln
         u = math.exp(min(math.log(z) / alpha, _LOG_MAX))
-        n_cap = int(min(max(3.0 * u / alpha + 256.0, _MAX_TERMS), 2e6))
+        n_cap = int(min(max(3.0 * u / alpha + 256.0, _MAX_TERMS), _POS_MAX_TERMS))
     term = total = first
     comp = 0.0
     abs_sum = abs(term)
@@ -311,30 +312,35 @@ def prabhakar_ln(alpha, beta, gamma_p, z):
 
     Intended for arguments so large that the value itself overflows a
     double (the series terms are positive, so no cancellation occurs).
+    ConvergenceError where the terms' peak, near n = z^(1/alpha)/alpha,
+    reaches the 2e6-term cap, or where the cap comes before the terms fall
+    below exp(-45) of the largest.
     """
     if alpha <= 0.0 or beta <= 0.0 or gamma_p <= 0.0:
         raise ValueError("prabhakar_ln requires alpha, beta, gamma > 0")
     if not (z > 0.0):
         raise ValueError("prabhakar_ln requires z > 0")
     ln_z = math.log(z)
+    # the peak index z^(1/alpha) / alpha, compared in logs
+    if ln_z / alpha >= math.log(alpha * _POS_MAX_TERMS):
+        raise ConvergenceError(f"prabhakar_ln at z={z:g} peaks beyond {_POS_MAX_TERMS} terms")
     ln_t = -gamma_ln(beta)
     peak = ln_t
     # online log-sum-exp against a running maximum, rescaled on promotion
     total = 1.0
-    n = 0
-    n_cap = int(3.0 * z ** (1.0 / alpha) / alpha) + 256
-    n_cap = min(max(n_cap, 256), 2_000_000)
-    while n < n_cap:
+    n_cap = int(min(3.0 * math.exp(ln_z / alpha) / alpha + 256.0, _POS_MAX_TERMS))
+    for n in range(n_cap):
         ln_t += ln_z + math.log(gamma_p + n) - math.log(n + 1.0) + gamma_ln(beta + alpha * n) - gamma_ln(beta + alpha * (n + 1))
-        n += 1
         if ln_t > peak:
             total = total * math.exp(peak - ln_t) + 1.0
             peak = ln_t
         else:
             d = ln_t - peak
-            if d < -45.0 and n > 8:
+            if d < -45.0 and n >= 8:
                 break
             total += math.exp(d)
+    else:  # the cap came before the -45 cut
+        raise ConvergenceError(f"prabhakar_ln at z={z:g} did not converge within {n_cap} terms")
     return peak + math.log(total)
 
 

@@ -32,7 +32,7 @@ def test_c08a_unequal_stretch_fails_the_verdict(monkeypatch):
     # the equal stretch terms are part of the verdict, not an assert
     asymptote = limitlaw.asymptote
 
-    def skewed(ctx, side, q=None):
+    def skewed(ctx, side, q=1.0):
         rec = asymptote(ctx, side, q)
         return rec if side == "positive" else dataclasses.replace(rec, stretch=2.0 * rec.stretch)
 

@@ -211,6 +211,36 @@ class TestPsiMgf:
         with pytest.raises(SeriesOverflowError):
             limitlaw.psi_mgf(0.75, 1e4)
 
+    @pytest.mark.parametrize("a", [0.55, 0.75, 0.9])
+    def test_overflow_band_and_fast_refusal(self, a, monkeypatch):
+        # Psi's series peaks at about exp(u), u = (rho |r|)^(1/a): it is a
+        # double up to u = 709.4 and overflows from u = 709.8
+        rh = moments.rho(a)
+        for u in (700.5, 709.4):
+            v = limitlaw.psi_mgf(a, u**a / rh)
+            assert math.log(v.psi) > u
+            assert all(math.isfinite(f) for f in dataclasses.astuple(v))
+        with pytest.raises(SeriesOverflowError):
+            limitlaw.psi_mgf(a, 709.8**a / rh)
+
+        # beyond u = 729 the call is refused before any moment is built:
+        # r > 0 in both modes, r < 0 in double mode, where near a = 1/2 the
+        # table would hold 75k moments
+        def unreachable(*args):
+            raise AssertionError("moment table built")
+
+        monkeypatch.setattr(limitlaw, "moment_sequence", unreachable)
+        monkeypatch.setattr(limitlaw, "_moments_hp", unreachable)
+        calls = [
+            (a, 730.0**a / rh, 0),
+            (a, 730.0**a / rh, 30),
+            (0.50002, -1.0, 0),
+            (0.6, -29.0 * moments.rho(0.6), 0),
+        ]
+        for aa, r, digits in calls:
+            with pytest.raises(SeriesOverflowError):
+                limitlaw.psi_mgf(aa, r, precision_digits=digits)
+
     @pytest.mark.parametrize("a, r", [(0.55, -20.0), (0.6, -29.0 * moments.rho(0.6))])
     def test_negative_overflow_inside_cap(self, a, r):
         # within the 30 rho cap, but the largest series term overflows
@@ -300,9 +330,9 @@ class TestTails:
             assert limitlaw.asymptote(ctx, side, q=1.0) == limitlaw.asymptote(ctx, side)
             assert limitlaw.asymptote(ctx, side, q=0.0) == limitlaw.asymptote(ctx, mirror)
         # a bad side is refused whatever q is, the end points included
-        for q in (0.0, q, 1.0):
+        for q_first in (0.0, q, 1.0):
             with pytest.raises(ValueError, match="side"):
-                limitlaw.asymptote(ctx, "sideways", q=q)
+                limitlaw.asymptote(ctx, "sideways", q=q_first)
 
     def test_underflow_contract(self):
         # at a = 0.999 the stretch term x^(1/(1-a)) itself overflows

@@ -289,6 +289,21 @@ class TestPrabhakar:
             ln_series = specfun.prabhakar_ln(alpha, 1.0, gamma_p, r)
             assert abs(ln_series - ln_asym) < tol
 
+    def test_ln_refuses_beyond_its_cap(self, monkeypatch):
+        # ln E_{1/2}(z) = z^2 + ln erfc(-z), which is z^2 + ln 2 to double
+        # precision at z = 100 (the 2e4-step log-space sum measured 2.2e-13)
+        assert specfun.prabhakar_ln(0.5, 1.0, 1.0, 100.0) == pytest.approx(1e4 + math.log(2.0), rel=1e-12)
+        # the peak index z^(1/alpha) / alpha reaches the 2e6-term cap; a sum
+        # truncated there is off by -0.693 at z = 1000 and by -75364 at 1200,
+        # and z^(1/alpha) itself overflows at z = 1e40
+        for params in ((0.5, 1.0, 1.0, 1000.0), (0.5, 1.0, 1.0, 1200.0), (0.1, 1.0, 1.0, 1e40)):
+            with pytest.raises(ConvergenceError):
+                specfun.prabhakar_ln(*params)
+        # a peak inside the cap whose terms have not fallen off by the cap
+        monkeypatch.setattr(specfun, "_POS_MAX_TERMS", 1000)
+        with pytest.raises(ConvergenceError, match="within 1000 terms"):
+            specfun.prabhakar_ln(0.5, 1.0, 1.0, 495.0**0.5)
+
     def test_negative_argument_decay(self):
         # E^g_{a,b}(-r) = O(r^-g): decreasing in r; double precision up to
         # the cancellation window, high-precision mode beyond it
