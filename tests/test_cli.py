@@ -113,6 +113,42 @@ def test_simulate_deterministic_bytes(tmp_path):
     assert len(rows) == 300
 
 
+# SHA-256 of whole CSVs from every writer not pinned elsewhere: raw
+# samples (the same bytes at 1, 2 and 3 threads, seed at the top of the
+# key range), a histogram, the moment table, the rho grid, the limit grid
+# and a single mixture row of dist
+_SIMULATE_ARGS = ["simulate", "--p", "0.85", "--q", "0.7", "--n", "301", "--count", "700",
+                  "--seed", str(2**64 - 1)]
+_SIMULATE_SHA256 = "09e70999b92407ea32d3d9fdcf8d16a7a942331246c341a8e528d22df2159ced"
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (_SIMULATE_ARGS + ["--threads", "1"], _SIMULATE_SHA256),
+        (_SIMULATE_ARGS + ["--threads", "2"], _SIMULATE_SHA256),
+        (_SIMULATE_ARGS + ["--threads", "3"], _SIMULATE_SHA256),
+        (["simulate", "--p", "0.92", "--n", "500", "--count", "2000", "--seed", "7",
+          "--bins", "24", "--threads", "3"],
+         "2c45c9317e7db77400f876d1d044ca817a8098c9ec910a14070ab6f04421f3fb"),
+        (["moments", "--a", "0.6667", "--n-max", "400"],
+         "817c564871bd83226ad8548b9a936c0f338c2970bad1417135783787ca9fa3b8"),
+        (["rho", "--grid", "0.55,0.95,9"],
+         "e6e542365ad3381f4eca6b53e307b14a42552f4e99d59e4574aa944733422f8d"),
+        (["limit", "--a", "0.7"],
+         "ba15bbc9b2232ef1bb50d5e7e9c235dd736ad49e736a1a2590c686e37b420253"),
+        (["dist", "--p", "0.8", "--q", "0.4", "--n-max", "300"],
+         "534a06b0542dd630e13f41367c560655a73fa54260422d1138c99aa11e9337ab"),
+    ],
+    ids=["simulate-t1", "simulate-t2", "simulate-t3", "simulate-bins", "moments",
+         "rho-grid", "limit", "dist-row"],
+)
+def test_csv_sha256(tmp_path, args, digest):
+    out = tmp_path / "out.csv"
+    assert run(args + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_simulate_csv_parses_back_to_library_bytes(tmp_path):
     # the 17-digit CSV carries exactly the doubles simulate_terminal returns
     out = tmp_path / "s.csv"
