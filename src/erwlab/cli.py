@@ -65,9 +65,9 @@ def cmd_dist(args):
         rows = [walk.row_at(params, args.n_max)]
     # streamed to the writer: one row is held at a time
     entries = (
-        (row.n, k, 2 * k - row.n, float(prob))
+        (row.n, k, 2 * k - row.n, prob)
         for row in rows
-        for k, prob in zip(range(row.k_lo, row.k_lo + len(row.probs)), row.probs)
+        for k, prob in enumerate(row.probs.tolist(), row.k_lo)
     )
     write_csv(
         args.out,
@@ -120,7 +120,7 @@ def cmd_simulate(args):
         rows = [(edges[i], edges[i + 1], hist[i]) for i in range(len(hist))]
         write_csv(args.out, ("x_left", "x_right", "density"), rows, meta=meta)
     else:
-        write_csv(args.out, ("sample",), [(s,) for s in samples], meta=meta)
+        write_csv(args.out, ("sample",), [(s,) for s in samples.tolist()], meta=meta)
     return 0
 
 

@@ -10,14 +10,18 @@ import sys
 from contextlib import contextmanager
 
 
-def fmt(value):
+def _conversion(value):
+    """The %-conversion of the one formatting rule: bool as 1/0, float to
+    17 significant digits, str() for everything else."""
     if isinstance(value, bool):
-        return "1" if value else "0"
+        return "%d"
     if isinstance(value, float):
-        return f"{value:.17g}"
-    if value is None:
-        return ""
-    return str(value)
+        return "%.17g"
+    return "%s"
+
+
+def fmt(value):
+    return "" if value is None else _conversion(value) % (value,)
 
 
 @contextmanager
@@ -30,12 +34,27 @@ def open_out(path):
 
 
 def write_csv(path, header, rows, meta=None):
+    """Metadata lines, the header, then one line per row (a tuple).
+
+    Every data line is written with one %-format, the conversions of the
+    first row's fields (bool -> %d, float -> %.17g, else %s), so each
+    column must keep its first row's type and hold no None; on such rows
+    the bytes equal fmt's field by field.  Plain Python values
+    (``tolist()``) format fastest: one % per line is about twice as fast
+    as fmt per field.
+    """
     with open_out(path) as fh:
         for key in sorted(meta or {}):
             fh.write(f"# {key}={fmt(meta[key])}\n")
         fh.write(",".join(header) + "\n")
+        rows = iter(rows)
+        first = next(rows, None)
+        if first is None:
+            return
+        line = ",".join(map(_conversion, first)) + "\n"
+        fh.write(line % first)
         for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+            fh.write(line % row)
 
 
 def write_json(path, obj, meta=None):

@@ -239,7 +239,10 @@ def psi_mgf(a, r, precision_digits=0):
     ln_size = 1.0 + np.abs(ln_s) + np.abs(ln_g)
     ln_b = ln_s - ln_g
     psi, _, _, om_psi, loss_psi = _omega_sums(ln_b, ln_size, rh * r)
-    w0, w1, w2, om_w, loss_w = _omega_sums(ln_b, ln_size, r)
+    # the table m_n / rho^n carries about 1.6 n eps from rho's own rounding,
+    # which Psi's rho r cancels and omega's r does not: charge omega 2 n eps
+    ln_size_w = ln_size + 2.0 * np.arange(n_max + 1)
+    w0, w1, w2, om_w, loss_w = _omega_sums(ln_b, ln_size_w, r)
     if r < 0.0:
         _check_cancellation(psi, loss_psi, f"psi_mgf Psi at r={r:g}")
         _check_cancellation(w0, loss_w, f"psi_mgf omega at r={r:g}")

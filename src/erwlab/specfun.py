@@ -312,23 +312,29 @@ def prabhakar_ln(alpha, beta, gamma_p, z):
 
     Intended for arguments so large that the value itself overflows a
     double (the series terms are positive, so no cancellation occurs).
-    ConvergenceError where the terms' peak, near n = z^(1/alpha)/alpha,
-    reaches the 2e6-term cap, or where the cap comes before the terms fall
-    below exp(-45) of the largest.
+    ConvergenceError up front where nine widths past the terms' peak,
+    (u + 9 sqrt(u))/alpha with u = z^(1/alpha), reach the 2e6-term cap,
+    and otherwise where the cap comes before the terms fall below
+    exp(-45) of the largest.
     """
     if alpha <= 0.0 or beta <= 0.0 or gamma_p <= 0.0:
         raise ValueError("prabhakar_ln requires alpha, beta, gamma > 0")
     if not (z > 0.0):
         raise ValueError("prabhakar_ln requires z > 0")
     ln_z = math.log(z)
-    # the peak index z^(1/alpha) / alpha, compared in logs
-    if ln_z / alpha >= math.log(alpha * _POS_MAX_TERMS):
-        raise ConvergenceError(f"prabhakar_ln at z={z:g} peaks beyond {_POS_MAX_TERMS} terms")
+    # the terms peak near n = u / alpha with width sqrt(u) / alpha, and the
+    # -45 cut falls about sqrt(90) = 9.5 widths past the peak: a cap inside
+    # nine widths would stop the sum first, and every sum that fits passes
+    u = math.exp(min(ln_z / alpha, _LOG_MAX))
+    if (u + 9.0 * math.sqrt(u)) / alpha >= _POS_MAX_TERMS:
+        raise ConvergenceError(
+            f"prabhakar_ln at z={z:g} peaks within nine widths of its {_POS_MAX_TERMS}-term cap"
+        )
     ln_t = -gamma_ln(beta)
     peak = ln_t
     # online log-sum-exp against a running maximum, rescaled on promotion
     total = 1.0
-    n_cap = int(min(3.0 * math.exp(ln_z / alpha) / alpha + 256.0, _POS_MAX_TERMS))
+    n_cap = int(min(3.0 * u / alpha + 256.0, _POS_MAX_TERMS))
     for n in range(n_cap):
         ln_t += ln_z + math.log(gamma_p + n) - math.log(n + 1.0) + gamma_ln(beta + alpha * n) - gamma_ln(beta + alpha * (n + 1))
         if ln_t > peak:

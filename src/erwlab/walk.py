@@ -280,18 +280,29 @@ def _simulate_chunk(p, q_first, n, seed, lo, hi):
     # one generator per chunk, reset for each trajectory to a fresh state
     # (zero counter, empty buffer, no buffered uint32: at odd n the float32
     # flips leave half a uint64) keyed (seed, i), which gives the stream of
-    # Philox(key=(seed, i)) without its constructor's discarded entropy draw
+    # Philox(key=(seed, i)) without its constructor's discarded entropy draw;
+    # the state is plain ints, which the setter reads about 2.5x faster than
+    # the arrays the getter returns
     bitgen = np.random.Philox(key=np.array([seed, lo], dtype=np.uint64))
-    gen = np.random.Generator(bitgen)
-    fresh = bitgen.state
+    random = np.random.Generator(bitgen).random
+    f32 = np.dtype(np.float32)
+    fresh = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0] * 4, "key": [seed, lo]},
+        "buffer": [0] * 4,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     key = fresh["state"]["key"]
+    pick_rows, flip_rows = list(u_pick), list(u_flip)
     for start in range(0, count, block):
         b = min(block, count - start)
         for j in range(b):
             key[1] = lo + start + j
             bitgen.state = fresh
-            gen.random(out=u_pick[j])
-            gen.random(dtype=np.float32, out=u_flip[j])
+            random(out=pick_rows[j])
+            random(dtype=f32, out=flip_rows[j])
         pick, flip = u_pick[:b], u_flip[:b]
         pick *= times
         parent = pick.astype(np.intp)

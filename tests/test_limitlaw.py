@@ -194,6 +194,25 @@ class TestPsiMgf:
         # omega's bar is on omega's scale, not psi's (|omega| << |psi| here)
         assert d.omega_error_estimate < 1e-9 * abs(d.omega)
 
+    # omega at r = -10, -3, -1, 1, 3, 10 from psi_mgf(a, r, precision_digits=40),
+    # rounded to double; the 60-digit mode rounds to the same doubles
+    _OMEGA40 = {
+        0.6: (2.2794877323463744e18, 44.5042617681468, 1.0294707350768826,
+              3.2492757939403796, 635.2591652638085, 1.7959720697105616e20),
+        0.75: (16529633.297983624, 2.8348967869946953, 0.6247630830627514,
+               3.065175909259959, 86.31557276825653, 2596418854.958143),
+        0.9: (1124.5002144502791, 0.4453037002010529, 0.44417954407516236,
+              2.8529433826938884, 31.20171608543912, 427932.64807726094),
+    }
+
+    def test_omega_bar_covers_reference(self):
+        # no slack term: the bar alone covers the error, which at (0.6, 1)
+        # is 3.1 eps |omega|, mostly the table m_n / rho^n's n eps
+        for a, refs in self._OMEGA40.items():
+            for r, ref in zip((-10.0, -3.0, -1.0, 1.0, 3.0, 10.0), refs):
+                d = limitlaw.psi_mgf(a, r)
+                assert abs(d.omega - ref) <= d.omega_error_estimate, (a, r)
+
     @pytest.mark.parametrize("a, digits, n_max", [(0.75, 30, 300), (0.55, 40, 400), (0.9, 50, 257)])
     def test_hp_moments_match_unpaired_loop(self, a, digits, n_max):
         import mpmath as mp

@@ -1,6 +1,6 @@
 """Property tests: regime switches are seamless, exact rows are laws,
 check_shape agrees with its loop oracle, the 17-digit CSV/JSON floats
-round-trip and the public numeric calls give a finite value or a typed
+round-trip, a CSV's one line format gives fmt's bytes and the public numeric calls give a finite value or a typed
 error at both ends of the window a in (1/2, 1).
 
 Examples are derived from the test source (derandomize) and no example
@@ -149,6 +149,26 @@ def test_fmt_round_trips_every_finite_double(x):
     # CLI writes, a float subclass that fmt must format the same way
     for v in (x, np.float64(x)):
         assert struct.pack("<d", float(emit.fmt(v))) == struct.pack("<d", x)
+
+
+@deterministic
+@given(
+    rows=st.lists(
+        st.tuples(st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+                  st.floats().map(np.float64), st.integers(-2**63, 2**63 - 1).map(np.int64)),
+        max_size=4,
+    )
+)
+def test_write_csv_lines_are_fmt_fields(rows):
+    # one %-format per file from the first row's types gives fmt's bytes
+    # field by field on rows that keep those types; no rows, header only
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out.csv")
+        emit.write_csv(path, ("b", "i", "f", "s", "f64", "i64"), rows, meta={"none": None})
+        with open(path, encoding="utf-8", newline="") as fh:
+            got = fh.read()
+    lines = ["# none=", "b,i,f,s,f64,i64"] + [",".join(emit.fmt(v) for v in row) for row in rows]
+    assert got == "".join(line + "\n" for line in lines)
 
 
 def _floats(value):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import time
 
 import mpmath as mp
 import numpy as np
@@ -295,13 +296,19 @@ class TestPrabhakar:
         assert specfun.prabhakar_ln(0.5, 1.0, 1.0, 100.0) == pytest.approx(1e4 + math.log(2.0), rel=1e-12)
         # the peak index z^(1/alpha) / alpha reaches the 2e6-term cap; a sum
         # truncated there is off by -0.693 at z = 1000 and by -75364 at 1200,
-        # and z^(1/alpha) itself overflows at z = 1e40
-        for params in ((0.5, 1.0, 1.0, 1000.0), (0.5, 1.0, 1.0, 1200.0), (0.1, 1.0, 1.0, 1e40)):
-            with pytest.raises(ConvergenceError):
+        # and z^(1/alpha) itself overflows at z = 1e40; at z = 999 the peak
+        # (1996002) fits but nine widths past it (17982 terms) do not, and
+        # the refusal comes before any term is summed
+        for params in ((0.5, 1.0, 1.0, 1000.0), (0.5, 1.0, 1.0, 1200.0), (0.1, 1.0, 1.0, 1e40),
+                       (0.5, 1.0, 1.0, 999.0)):
+            t0 = time.process_time()
+            with pytest.raises(ConvergenceError, match="nine widths of its 2000000-term cap"):
                 specfun.prabhakar_ln(*params)
-        # a peak inside the cap whose terms have not fallen off by the cap
-        monkeypatch.setattr(specfun, "_POS_MAX_TERMS", 1000)
-        with pytest.raises(ConvergenceError, match="within 1000 terms"):
+            assert time.process_time() - t0 < 0.01
+        # a peak (990) whose nine widths (400) fit the cap but whose terms
+        # fall below exp(-45) only at n = 1440
+        monkeypatch.setattr(specfun, "_POS_MAX_TERMS", 1400)
+        with pytest.raises(ConvergenceError, match="within 1400 terms"):
             specfun.prabhakar_ln(0.5, 1.0, 1.0, 495.0**0.5)
 
     def test_negative_argument_decay(self):

@@ -357,6 +357,19 @@ class TestShape:
 
         assert margin(a0 - 1e-6) > 0.0 > margin(a0 + 1e-6)
 
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_row_q_plus_3_flips_at_root(self, q):
+        # P_q is the log-concavity threshold of row q + 3, checked on exact
+        # rational rows (boundary terms zero) at the root -+ 1e-6
+        root = walk.log_concavity_root(q)
+
+        def log_concave(a):
+            p = (1 + Fraction(a)) / 2
+            u = [Fraction(0)] + evolve_q_exact(p, q + 3)[-1] + [Fraction(0)]
+            return all(u[k] ** 2 >= u[k - 1] * u[k + 1] for k in range(1, len(u) - 1))
+
+        assert log_concave(root - 1e-6) and not log_concave(root + 1e-6)
+
 
 class TestThresholdRoots:
     def test_frozen_values(self):
@@ -459,10 +472,13 @@ class TestSimulate:
         ],
     )
     def test_chunk_matches_reference_loop(self, p, q_first, n, lo, hi):
-        got = walk._simulate_chunk(p, q_first, n, 99, lo, hi)
-        ref = _simulate_chunk_reference(p, q_first, n, 99, lo, hi)
-        assert got.dtype == ref.dtype == np.int64
-        assert got.tobytes() == ref.tobytes()
+        # seed 2**64 - 1: the reset's plain-int key word at the top of the
+        # uint64 range against the reference's uint64 key array
+        for seed in (99, 2**64 - 1):
+            got = walk._simulate_chunk(p, q_first, n, seed, lo, hi)
+            ref = _simulate_chunk_reference(p, q_first, n, seed, lo, hi)
+            assert got.dtype == ref.dtype == np.int64
+            assert got.tobytes() == ref.tobytes()
 
     def test_seed_changes_output(self):
         params = walk.ErwParams(p=0.9)
