@@ -313,8 +313,8 @@ def prabhakar_ln(alpha, beta, gamma_p, z):
     Intended for arguments so large that the value itself overflows a
     double (the series terms are positive, so no cancellation occurs).
     ConvergenceError up front where nine widths past the terms' peak,
-    (u + 9 sqrt(u))/alpha with u = z^(1/alpha), reach the 2e6-term cap,
-    and otherwise where the cap comes before the terms fall below
+    (u - beta + 9 sqrt(u))/alpha with u = z^(1/alpha), reach the 2e6-term
+    cap, and otherwise where the cap comes before the terms fall below
     exp(-45) of the largest.
     """
     if alpha <= 0.0 or beta <= 0.0 or gamma_p <= 0.0:
@@ -322,11 +322,12 @@ def prabhakar_ln(alpha, beta, gamma_p, z):
     if not (z > 0.0):
         raise ValueError("prabhakar_ln requires z > 0")
     ln_z = math.log(z)
-    # the terms peak near n = u / alpha with width sqrt(u) / alpha, and the
-    # -45 cut falls about sqrt(90) = 9.5 widths past the peak: a cap inside
-    # nine widths would stop the sum first, and every sum that fits passes
+    # the terms peak near n = (u - beta) / alpha with width sqrt(u) / alpha,
+    # and the -45 cut falls about sqrt(90) = 9.5 widths past the peak: a cap
+    # inside nine widths would stop the sum first, and every sum that fits
+    # passes
     u = math.exp(min(ln_z / alpha, _LOG_MAX))
-    if (u + 9.0 * math.sqrt(u)) / alpha >= _POS_MAX_TERMS:
+    if (u - beta + 9.0 * math.sqrt(u)) / alpha >= _POS_MAX_TERMS:
         raise ConvergenceError(
             f"prabhakar_ln at z={z:g} peaks within nine widths of its {_POS_MAX_TERMS}-term cap"
         )

@@ -310,6 +310,14 @@ class TestPrabhakar:
         monkeypatch.setattr(specfun, "_POS_MAX_TERMS", 1400)
         with pytest.raises(ConvergenceError, match="within 1400 terms"):
             specfun.prabhakar_ln(0.5, 1.0, 1.0, 495.0**0.5)
+        # beta moves the peak to (u - beta) / alpha: at beta = 100 the terms
+        # peak at 790 and fall off by 1213, so a cap of 1300 lets the sum
+        # end, though nine widths past the beta = 1 peak (1390) do not fit
+        monkeypatch.setattr(specfun, "_POS_MAX_TERMS", 1300)
+        z = 495.0**0.5
+        with mp.workdps(30):
+            ref = mp.log(mp.fsum(mp.mpf(z) ** n / mp.gamma(mp.mpf(n) / 2 + 100) for n in range(1400)))
+        assert specfun.prabhakar_ln(0.5, 100.0, 1.0, z) == pytest.approx(float(ref), rel=1e-12)
 
     def test_negative_argument_decay(self):
         # E^g_{a,b}(-r) = O(r^-g): decreasing in r; double precision up to
