@@ -25,6 +25,54 @@ def moments_hp_reference(aa, rho_mp, n_max):
     return mt
 
 
+def psi_mgf_hp_reference(a, r, digits):
+    """MgfValue of the mpmath mode from every term up to n_max = 3 peak + 256,
+    one fsum per sum: the former full-length loop of limitlaw._psi_mgf_hp,
+    kept as the oracle for its cut form."""
+    import mpmath as mp
+
+    peak = (moments.rho(a) * abs(r)) ** (1.0 / a) / a if r != 0.0 else 8.0
+    n_max = int(3.0 * peak + 256)
+    with mp.workdps(digits + 10):
+        aa = mp.mpf(a)
+        rho_mp = ((mp.gamma(mp.mpf(1) / 2 + 1 / (2 * aa)) * mp.gamma(1 - 1 / (2 * aa)))
+                  / mp.sqrt(mp.pi)) ** aa
+        mt = limitlaw._moments_hp(aa, rho_mp, n_max)
+        rr = mp.mpf(r)
+        b = [mt[n] / mp.gamma(1 + aa * n) for n in range(n_max + 1)]
+        psi = mp.fsum(b[n] * (rho_mp * rr) ** n for n in range(n_max + 1))
+        w0 = mp.fsum(b[n] * rr**n for n in range(n_max + 1))
+        w1 = mp.fsum(n * b[n] * rr ** (n - 1) for n in range(1, n_max + 1))
+        w2 = mp.fsum(n * (n - 1) * b[n] * rr ** (n - 2) for n in range(2, n_max + 1))
+        xi = -w1 / w0
+        eta2 = w2 / w0 - xi * xi
+        eta = mp.sqrt(eta2) if eta2 > 0 else mp.mpf(0)
+        tol = mp.mpf(10) ** (-digits + 2)
+        return limitlaw.MgfValue(
+            r=r, psi=float(psi), omega=float(w0), xi=float(xi), eta=float(eta),
+            error_estimate=float(abs(psi) * tol), omega_error_estimate=float(abs(w0) * tol),
+        )
+
+
+def _hp_grid():
+    """Seeded (a, r, digits) points for the mpmath mode, r = 0 and +-1e-6 included."""
+    rng = np.random.default_rng(1818)
+    n = 12
+    a = rng.uniform(0.52, 0.98, n).tolist() + [0.52, 0.7, 0.98, 0.52, 0.98]
+    r = rng.uniform(-3.0, 3.0, n).tolist() + [1e-6, 0.0, -1e-6, -3.0, 3.0]
+    digits = [15, 30, 50] * 4 + [15, 30, 50, 50, 30]
+    return list(zip(a, r, digits))
+
+
+# psi and omega at r = -10 from psi_mgf(a, -10.0, precision_digits=40),
+# rounded to double (the 40-digit run takes about 1.3 s at a = 0.55)
+_PSI40 = {
+    0.55: (1.1614191851163974e148, 9.451419926320249e26),
+    0.75: (70382681061.97777, 16529633.297983624),
+    0.85: (134732.24435927707, 13806.434657886804),
+}
+
+
 class TestGenFun:
     def test_near_zero(self):
         # B(x)/x -> 1 and M(x) -> 1
@@ -177,16 +225,7 @@ class TestPsiMgf:
         assert h.error_estimate == pytest.approx(abs(h.psi) * 1e-38)
         assert h.omega_error_estimate == pytest.approx(abs(h.omega) * 1e-38)
 
-    # psi and omega at r = -10 from psi_mgf(a, -10.0, precision_digits=40),
-    # rounded to double (the 40-digit run takes about 1.3 s at a = 0.55)
-    @pytest.mark.parametrize(
-        "a, psi40, omega40",
-        [
-            (0.55, 1.1614191851163974e148, 9.451419926320249e26),
-            (0.75, 70382681061.97777, 16529633.297983624),
-            (0.85, 134732.24435927707, 13806.434657886804),
-        ],
-    )
+    @pytest.mark.parametrize("a, psi40, omega40", [(a, *v) for a, v in _PSI40.items()])
     def test_one_error_bar_per_sum(self, a, psi40, omega40):
         d = limitlaw.psi_mgf(a, -10.0)
         assert abs(d.psi - psi40) <= d.error_estimate
@@ -204,6 +243,18 @@ class TestPsiMgf:
         0.9: (1124.5002144502791, 0.4453037002010529, 0.44417954407516236,
               2.8529433826938884, 31.20171608543912, 427932.64807726094),
     }
+
+    @pytest.mark.parametrize("a, r, digits", _hp_grid())
+    def test_hp_matches_full_length_reference(self, a, r, digits):
+        # every field equal: the mpmath mode sums enough terms to round
+        # to the same doubles as the full 3 peak + 256
+        got = limitlaw.psi_mgf(a, r, precision_digits=digits)
+        assert got == psi_mgf_hp_reference(a, r, digits)
+
+    @pytest.mark.parametrize("a", [0.75, 0.85])
+    def test_hp_rounds_to_pinned_40_digits(self, a):
+        hp = limitlaw.psi_mgf(a, -10.0, precision_digits=40)
+        assert (hp.psi, hp.omega) == _PSI40[a]
 
     def test_omega_bar_covers_reference(self):
         # no slack term: the bar alone covers the error, which at (0.6, 1)
