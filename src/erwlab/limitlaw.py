@@ -17,12 +17,13 @@ tilted-law functionals omega, xi, eta used by the tail analysis;
 ``tail`` evaluates the stretched-exponential density asymptotes.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CancellationError, SeriesOverflowError
+from .errors import CancellationError, ConvergenceError, SeriesOverflowError
 from .moments import moment_sequence, rho
 from .specfun import _EPS, _LOG_MAX, _check_cancellation, f_eval, f_inverse, gamma_ln, rho_root
 
@@ -269,19 +270,32 @@ def _check_finite(a, r, *sums):
 
 
 def _psi_mgf_hp(a, r, digits, n_max):
+    """The sums of psi_mgf at digits + 10 digits in one pass over n, which stops past
+    the later peak, (rho |r|)^(1/a)/a or |r|^(1/a)/a, at the first n where each term
+    is at most 10^-(digits+10) of its own partial sum; ConvergenceError at n_max."""
     import mpmath as mp
 
     with mp.workdps(digits + 10):
         aa = mp.mpf(a)
         rho_mp = ((mp.gamma(mp.mpf(1) / 2 + 1 / (2 * aa)) * mp.gamma(1 - 1 / (2 * aa)))
                   / mp.sqrt(mp.pi)) ** aa
-        mt = _moments_hp(aa, rho_mp, n_max)
         rr = mp.mpf(r)
-        b = [mt[n] / mp.gamma(1 + aa * n) for n in range(n_max + 1)]
-        psi = mp.fsum(b[n] * (rho_mp * rr) ** n for n in range(n_max + 1))
-        w0 = mp.fsum(b[n] * rr**n for n in range(n_max + 1))
-        w1 = mp.fsum(n * b[n] * rr ** (n - 1) for n in range(1, n_max + 1))
-        w2 = mp.fsum(n * (n - 1) * b[n] * rr ** (n - 2) for n in range(2, n_max + 1))
+        x = rho_mp * rr
+        n_peak = max(abs(x), abs(rr)) ** (1 / aa) / aa
+        cut = mp.mpf(10) ** (-digits - 10)
+        rows, partial = [], [0] * 4  # terms of Psi, omega, omega', omega''; their sums
+        px, pr, pr1, pr2 = mp.mpf(1), mp.mpf(1), 0, 0  # (rho r)^n, r^n, r^(n-1), r^(n-2)
+        for n, m in enumerate(_moments_hp(aa, rho_mp)):
+            b = m / mp.gamma(1 + aa * n)
+            rows.append((b * px, b * pr, n * b * pr1, n * (n - 1) * b * pr2))
+            partial = [s + t for s, t in zip(partial, rows[-1])]
+            if n > n_peak and all(abs(t) <= cut * abs(s) for t, s in zip(rows[-1], partial)):
+                break
+            if n == n_max:
+                raise ConvergenceError(
+                    f"psi_mgf({a:g}, {r:g}): no {digits}-digit cut by {n_max} terms")
+            px, pr, pr1, pr2 = px * x, pr * rr, pr, pr1
+        psi, w0, w1, w2 = (mp.fsum(col) for col in zip(*rows))
         _check_finite(a, r, *(float(v) for v in (psi, w0, w1, w2)))
         xi = -w1 / w0
         eta2 = w2 / w0 - xi * xi
@@ -293,9 +307,9 @@ def _psi_mgf_hp(a, r, digits, n_max):
         )
 
 
-def _moments_hp(aa, rho_mp, n_max):
-    """rho-scaled moments m_0..m_n_max at the working mpmath precision:
-    the recurrence of moments.moment_sequence,
+def _moments_hp(aa, rho_mp):
+    """rho-scaled moments m_0, m_1, ... at the working mpmath precision,
+    one per step: the recurrence of moments.moment_sequence,
     m_n = sum_{i=1}^{n-1} c_i m_i m_{n-i} / (n a - c_n), c_i = 1 for even i
     and a for odd i, with the terms i and n - i paired.  For odd n their
     factors add to 1 + a; for even n they are equal, and the middle term
@@ -304,7 +318,8 @@ def _moments_hp(aa, rho_mp, n_max):
 
     mt = [mp.mpf(1), 1 / rho_mp]
     cm = [mt[0], aa * mt[1]]  # c_i m_i
-    for n in range(2, n_max + 1):
+    yield from mt
+    for n in itertools.count(2):
         h = n // 2
         upper = mt[n - 1 : n - h - 1 : -1]  # m_{n-1} .. m_{n-h}
         if n % 2:
@@ -315,7 +330,7 @@ def _moments_hp(aa, rho_mp, n_max):
             s = 2 * mp.fdot(cm[1:h], upper[:-1]) + cm[h] * mt[h]
         mt.append(s / (n * aa - cn))
         cm.append(cn * mt[n])
-    return mt
+        yield mt[n]
 
 
 def eta_asymptote(a, r):

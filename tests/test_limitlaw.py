@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from erwlab import acceptance, limitlaw, moments, walk
-from erwlab.errors import CancellationError, SeriesOverflowError
+from erwlab.errors import CancellationError, ConvergenceError, SeriesOverflowError
 
 
 def moments_hp_reference(aa, rho_mp, n_max):
@@ -37,7 +38,7 @@ def psi_mgf_hp_reference(a, r, digits):
         aa = mp.mpf(a)
         rho_mp = ((mp.gamma(mp.mpf(1) / 2 + 1 / (2 * aa)) * mp.gamma(1 - 1 / (2 * aa)))
                   / mp.sqrt(mp.pi)) ** aa
-        mt = limitlaw._moments_hp(aa, rho_mp, n_max)
+        mt = list(itertools.islice(limitlaw._moments_hp(aa, rho_mp), n_max + 1))
         rr = mp.mpf(r)
         b = [mt[n] / mp.gamma(1 + aa * n) for n in range(n_max + 1)]
         psi = mp.fsum(b[n] * (rho_mp * rr) ** n for n in range(n_max + 1))
@@ -256,6 +257,11 @@ class TestPsiMgf:
         hp = limitlaw.psi_mgf(a, -10.0, precision_digits=40)
         assert (hp.psi, hp.omega) == _PSI40[a]
 
+    def test_hp_raises_at_its_cap(self):
+        # at r = 1 the 30-digit sums need about 40 terms: a cap of 10 fails loudly
+        with pytest.raises(ConvergenceError):
+            limitlaw._psi_mgf_hp(0.75, 1.0, 30, 10)
+
     def test_omega_bar_covers_reference(self):
         # no slack term: the bar alone covers the error, which at (0.6, 1)
         # is 3.1 eps |omega|, mostly the table m_n / rho^n's n eps
@@ -271,7 +277,7 @@ class TestPsiMgf:
         with mp.workdps(digits + 10):
             aa = mp.mpf(a)
             rho_mp = mp.mpf(moments.rho(a))
-            got = limitlaw._moments_hp(aa, rho_mp, n_max)
+            got = list(itertools.islice(limitlaw._moments_hp(aa, rho_mp), n_max + 1))
             want = moments_hp_reference(aa, rho_mp, n_max)
             assert len(got) == len(want) == n_max + 1
             worst = max(abs(g - w) / abs(w) for g, w in zip(got, want))
