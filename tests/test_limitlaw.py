@@ -66,7 +66,7 @@ def _hp_grid():
 
 
 # psi and omega at r = -10 from psi_mgf(a, -10.0, precision_digits=40),
-# rounded to double (the 40-digit run takes about 1.3 s at a = 0.55)
+# rounded to double (the 40-digit run takes about 0.7 s at a = 0.55)
 _PSI40 = {
     0.55: (1.1614191851163974e148, 9.451419926320249e26),
     0.75: (70382681061.97777, 16529633.297983624),
@@ -301,7 +301,8 @@ class TestPsiMgf:
 
         # beyond u = 729 the call is refused before any moment is built:
         # r > 0 in both modes, r < 0 in double mode, where near a = 1/2 the
-        # table would hold 75k moments
+        # table would hold 75k moments.  The stand-in raises when called, so
+        # for the hp generator it fires before the first moment too
         def unreachable(*args):
             raise AssertionError("moment table built")
 
