@@ -115,8 +115,9 @@ def test_simulate_deterministic_bytes(tmp_path):
 
 # SHA-256 of whole CSVs from every writer not pinned elsewhere: raw
 # samples (the same bytes at 1, 2 and 3 threads, seed at the top of the
-# key range), a histogram, the moment table, the rho grid, the limit grid
-# and a single mixture row of dist
+# key range), a histogram, the moment table, the rho grid, the limit grid,
+# a single mixture row of dist, and two tails grids on mixture rows, one
+# at n = 2 (k_lo = 0) with points beyond the support
 _SIMULATE_ARGS = ["simulate", "--p", "0.85", "--q", "0.7", "--n", "301", "--count", "700",
                   "--seed", str(2**64 - 1)]
 _SIMULATE_SHA256 = "09e70999b92407ea32d3d9fdcf8d16a7a942331246c341a8e528d22df2159ced"
@@ -139,9 +140,13 @@ _SIMULATE_SHA256 = "09e70999b92407ea32d3d9fdcf8d16a7a942331246c341a8e528d22df215
          "ba15bbc9b2232ef1bb50d5e7e9c235dd736ad49e736a1a2590c686e37b420253"),
         (["dist", "--p", "0.8", "--q", "0.4", "--n-max", "300"],
          "534a06b0542dd630e13f41367c560655a73fa54260422d1138c99aa11e9337ab"),
+        (["tails", "--a", "0.6", "--q", "0.5", "--n", "2", "--grid", "0.001,3,41"],
+         "237c4d7d591013c3049a375d0416316d6d1e6af70f928275358ad52216447dd4"),
+        (["tails", "--a", "0.9", "--q", "0.3", "--n", "777", "--grid", "0.01,5,101"],
+         "b2677bd8dbda137f0bd2f4468ddd351e12d9ee929dad4d89196b2d1c9e0a5855"),
     ],
     ids=["simulate-t1", "simulate-t2", "simulate-t3", "simulate-bins", "moments",
-         "rho-grid", "limit", "dist-row"],
+         "rho-grid", "limit", "dist-row", "tails-mixture-n2", "tails-q0.3-n777"],
 )
 def test_csv_sha256(tmp_path, args, digest):
     out = tmp_path / "out.csv"
