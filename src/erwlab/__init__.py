@@ -25,7 +25,6 @@ from .limitlaw import (
 from .moments import (
     LimitLawContext,
     MomentTable,
-    asymptotic_moment,
     asymptotic_moment_ln,
     context,
     hankel_test,
@@ -37,13 +36,11 @@ from .moments import (
 )
 from .specfun import (
     SeriesEval,
-    digamma,
     f_eval,
     f_inverse,
     gamma_ln,
     hyp2f1,
     mittag_leffler,
-    poch_ln,
     prabhakar,
     prabhakar_ln,
 )
@@ -51,7 +48,6 @@ from .walk import (
     DistributionRow,
     ErwParams,
     ShapeReport,
-    StepDensity,
     check_shape,
     evolve_distribution,
     iter_rows,

@@ -169,7 +169,7 @@ def c07_mgf_asymptotics():
 def _density_log_deviation(ctx, row):
     """max |log f_n / log tail+ - 1| over the density band [1e-8, 1e-3]."""
     x = row.scaled_support(ctx.a).astype(float)
-    f = float(row.n) ** ctx.a * row.probs / 2.0
+    f = walk.scaled_density(row, ctx.a, x)
     mask = (f >= 1e-8) & (f <= 1e-3) & (x > 0)
     lt = np.array([limitlaw.tail(ctx, float(v), "positive", log=True) for v in x[mask]])
     return float(np.abs(np.log(f[mask]) / lt - 1.0).max())

@@ -127,7 +127,6 @@ def cmd_simulate(args):
 def cmd_moments(args):
     a = args.a
     table = moments.moment_sequence(a, args.n_max)
-    ctx = moments.context(a)
     rows = []
     log10 = math.log(10.0)
     for n in range(args.n_max + 1):
@@ -138,7 +137,7 @@ def cmd_moments(args):
         args.out,
         ("n", "m_scaled", "m_log10", "limit_moment_log10", "asympt_ratio"),
         rows,
-        meta={"command": "moments", "a": a, "n_max": args.n_max, "rho": ctx.rho},
+        meta={"command": "moments", "a": a, "n_max": args.n_max, "rho": table.rho},
     )
     return 0
 
@@ -199,12 +198,10 @@ def cmd_tails(args):
     ctx = moments.context(a)
     params = walk.ErwParams.from_a(a, q_first=args.q)
     row = walk.row_at(params, args.n)
-    density = walk.scaled_density(row, a)
     grid = _grid(args.grid) if args.grid else np.linspace(0.5, 4.5, 33)
+    density = walk.scaled_density(row, a, grid)
     rows = []
-    for x in grid:
-        x = float(x)
-        f = float(density.pdf(x))
+    for x, f in zip(grid.tolist(), density.tolist()):
         rows.append(
             (
                 x,
@@ -227,8 +224,6 @@ def cmd_specfun(args):
     try:
         if args.fn == "gamma_ln":
             out = {"value": specfun.gamma_ln(args.z), "method": "lgamma"}
-        elif args.fn == "digamma":
-            out = {"value": specfun.digamma(args.z), "method": "asymptotic"}
         elif args.fn == "hyp2f1":
             ev = specfun.hyp2f1(p[0], p[1], p[2], args.z)
             out = ev.__dict__
@@ -324,8 +319,8 @@ def build_parser():
 
     sp = sub.add_parser("specfun", help="evaluate one special function, JSON output")
     sp.add_argument("--fn", required=True,
-                    choices=["gamma_ln", "digamma", "hyp2f1", "mittag_leffler",
-                             "prabhakar", "f", "f_inverse"])
+                    choices=["gamma_ln", "hyp2f1", "mittag_leffler", "prabhakar", "f",
+                             "f_inverse"])
     sp.add_argument("--params", type=float, nargs="*", default=[],
                     help="leading parameters (e.g. alpha beta gamma)")
     sp.add_argument("--z", type=float, required=True)

@@ -53,14 +53,12 @@ class GenFunValue:
 class Residuals:
     """Defining-equation residuals at one x.
 
-    r_sys is the larger-magnitude line of the even/odd system.  The *_rel
-    fields divide by the largest constituent term of each equation, which
-    is the scale the finite-difference error lives on.
+    The *_rel fields divide by the largest constituent term of each
+    equation, which is the scale the finite-difference error lives on;
+    r_sys_rel is that of the larger-magnitude line of the even/odd system.
     """
 
     r_m: float
-    r_sys: float
-    r_b: float
     r_imp: float
     r_m_rel: float
     r_sys_rel: float
@@ -147,7 +145,6 @@ def residuals(a, x, h_scale=1.0):
     r_even = math.fsum(terms_even)
     r_odd = math.fsum(terms_odd)
     scale_sys = max(max(abs(t) for t in terms_even), max(abs(t) for t in terms_odd))
-    r_sys = r_even if abs(r_even) >= abs(r_odd) else r_odd
 
     terms_b = (
         a * (a + 1.0) * x * x * g0.b * b_second,
@@ -165,8 +162,6 @@ def residuals(a, x, h_scale=1.0):
 
     return Residuals(
         r_m=r_m,
-        r_sys=r_sys,
-        r_b=r_b,
         r_imp=r_imp,
         r_m_rel=abs(r_m) / scale_m,
         r_sys_rel=max(abs(r_even), abs(r_odd)) / scale_sys,
@@ -215,8 +210,10 @@ def psi_mgf(a, r, precision_digits=0):
     rho_a in double precision and 200 rho_a in the mpmath mode (cost grows
     quadratically with the series length), CancellationError beyond;
     there Psi and omega must each keep their own cancellation loss within
-    1e-6 of their own value.
+    1e-6 of their own value.  A NaN r raises ValueError up front.
     """
+    if math.isnan(r):
+        raise ValueError("psi_mgf requires a number r, got nan")
     rh = rho(a)
     if r < 0.0:
         cap = (_NEG_CAP_HP if precision_digits > 0 else _NEG_CAP_DOUBLE) * rh
@@ -370,14 +367,18 @@ def asymptote(ctx, side, q=1.0):
     return TailAsymptote(pref, power, stretch, stretch_power)
 
 
+def _check_x(what, x):
+    if not (math.isfinite(x) and x > 0.0):
+        raise ValueError(f"{what} requires a finite x > 0, got {x!r}")
+
+
 def tail(ctx, x, side, q=1.0, log=False):
-    """Density asymptote at x > 0 on the requested side, evaluated in log
-    space; log=True returns the log value (-inf instead of silent 0).
-    Where x^stretch_power overflows (a near 1) the value reads -inf, or 0
-    with log=False; a value above the double range raises
+    """Density asymptote at finite x > 0 on the requested side, evaluated
+    in log space; log=True returns the log value (-inf instead of silent
+    0).  Where x^stretch_power overflows (a near 1) the value reads -inf,
+    or 0 with log=False; a value above the double range raises
     SeriesOverflowError unless log=True."""
-    if not (x > 0.0):
-        raise ValueError("tail requires x > 0")
+    _check_x("tail", x)
     rec = asymptote(ctx, side, q)
     try:
         stretched = x**rec.stretch_power
@@ -396,6 +397,7 @@ def tail_ratio(ctx, x):
     """Closed-form ratio tail_pos/tail_neg = const * x^(2a/(1-a^2)),
     evaluated independently of the two prefactors (the stretch terms
     cancel); SeriesOverflowError where x^(2a/(1-a^2)) overflows."""
+    _check_x("tail_ratio", x)
     a = ctx.a
     power = 2.0 * a / (1.0 - a * a)
     const = (

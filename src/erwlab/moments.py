@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import QuadratureError, SeriesOverflowError
 from .quadrature import integrate
-from .specfun import gamma_ln, poch_ln, rho_root
+from .specfun import gamma_ln, rho_root
 
 # m_2 = a/(2a-1) blows up at the diffusive boundary; the artifact refuses
 # to operate closer than this
@@ -191,7 +191,7 @@ def asymptotic_moment_ln(ctx, n, order="leading"):
     """log of the moment asymptote 2a rho^n n! / ((a+1) Gamma(1+an)),
     optionally with the parity-dependent first correction."""
     if n < 1:
-        raise ValueError("asymptotic_moment needs n >= 1")
+        raise ValueError("asymptotic_moment_ln needs n >= 1")
     a = ctx.a
     ln = (
         math.log(2.0 * a / (a + 1.0))
@@ -202,20 +202,12 @@ def asymptotic_moment_ln(ctx, n, order="leading"):
     if order == "leading":
         return ln
     if order == "first_correction":
-        poch_ratio = math.exp(poch_ln(ctx.delta, n) - gamma_ln(n + 1.0))
+        d = ctx.delta
+        poch_ratio = math.exp(gamma_ln(d + n) - gamma_ln(d) - gamma_ln(n + 1.0))
         sign = 1.0 if n % 2 == 0 else -1.0
         corr = 1.0 + ctx.kappa * poch_ratio * (sign + (a - 1.0) / (3.0 * a + 1.0))
         return ln + math.log(corr)
     raise ValueError(f"unknown order {order!r}")
-
-
-def asymptotic_moment(ctx, n, order="leading"):
-    ln = asymptotic_moment_ln(ctx, n, order)
-    if abs(ln) > 700.0:
-        raise SeriesOverflowError(
-            f"asymptotic moment at n={n} has log-magnitude {ln:.1f}; use asymptotic_moment_ln"
-        )
-    return math.exp(ln)
 
 
 def hankel_test(table, k_max):

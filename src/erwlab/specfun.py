@@ -59,7 +59,7 @@ class SeriesEval:
 
 
 # ---------------------------------------------------------------------------
-# log-Gamma, digamma, Pochhammer
+# log-Gamma, digamma
 
 def gamma_ln(x):
     """log Gamma(x) for x > 0."""
@@ -93,15 +93,6 @@ def digamma(x):
     for c in reversed(_DIGAMMA_TAIL):
         tail = (tail + c) * inv2
     return acc + math.log(x) - 0.5 / x - tail
-
-
-def poch_ln(x, n):
-    """log of the rising factorial (x)_n for x > 0, integer n >= 0."""
-    if n < 0:
-        raise ValueError("poch_ln requires n >= 0")
-    if n == 0:
-        return 0.0
-    return gamma_ln(x + n) - gamma_ln(x)
 
 
 # ---------------------------------------------------------------------------

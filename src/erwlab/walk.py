@@ -84,26 +84,6 @@ class ShapeReport:
     first_violation: int | None
 
 
-@dataclass(frozen=True)
-class StepDensity:
-    """Step density of n^(-a) S_n: height values[i] on the interval
-    (breakpoints[i], breakpoints[i+1]], zero outside."""
-
-    breakpoints: np.ndarray
-    values: np.ndarray
-
-    def integral(self):
-        return float(np.dot(np.diff(self.breakpoints), self.values))
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(self.breakpoints, x, side="left") - 1
-        inside = (idx >= 0) & (idx < len(self.values)) & (x > self.breakpoints[0])
-        out = np.zeros_like(x)
-        out[inside] = self.values[np.clip(idx[inside], 0, len(self.values) - 1)]
-        return out
-
-
 def _step(prev, n, p, ak, c_hi, c_lo):
     """One recurrence step in place, without renormalisation.
 
@@ -240,15 +220,22 @@ def log_concavity_root(q_index):
     return float(root)
 
 
-def scaled_density(row, a):
-    """Finite-n step density of n^(-a) S_n: height n^a P(n,k)/2 on
-    (n^(-a)(2k-n-1), n^(-a)(2k-n+1)]."""
+def scaled_density(row, a, x):
+    """Finite-n step density of n^(-a) S_n at the points x: height
+    n^a P(n,k)/2 on (n^(-a)(2k-n-1), n^(-a)(2k-n+1)], 0 outside the
+    support."""
     if not (0.5 < a < 1.0):
         raise ValueError(f"scaled_density requires a in (1/2, 1), got {a!r}")
     scale = float(row.n) ** a
     s = row.support().astype(float)
     edges = np.concatenate([(s - 1.0), [s[-1] + 1.0]]) / scale
-    return StepDensity(breakpoints=edges, values=scale * row.probs / 2.0)
+    heights = scale * row.probs / 2.0
+    x = np.asarray(x, dtype=float)
+    idx = np.searchsorted(edges, x, side="left") - 1
+    inside = (idx >= 0) & (idx < len(heights))
+    out = np.zeros_like(x)
+    out[inside] = heights[idx[inside]]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -264,7 +264,7 @@ def test_specfun_gamma_ln_method(tmp_path):
 
 @pytest.mark.parametrize("fn, params, z, call", [
     ("gamma_ln", [], 0.25, lambda: specfun.gamma_ln(0.25)),
-    ("digamma", [], 2.5, lambda: specfun.digamma(2.5)),
+    ("f", [0.7], 8.0, lambda: specfun.f_eval(0.7, 8.0).value),  # F's series regime
     ("hyp2f1", [0.5, -0.75, 0.25], -4.0, lambda: specfun.hyp2f1(0.5, -0.75, 0.25, -4.0).value),
     ("mittag_leffler", [0.5], 3.0, lambda: specfun.mittag_leffler(0.5, 3.0).value),
     ("prabhakar", [0.6, 1.3, 0.5], -5.0, lambda: specfun.prabhakar(0.6, 1.3, 0.5, -5.0).value),
@@ -281,7 +281,8 @@ def test_specfun_each_fn(tmp_path, fn, params, z, call):
 def test_usage_errors_exit_two():
     for argv in (["dist", "--n-max", "5"],  # neither --a nor --p
                  ["rho", "--a", "0.7", "--grid", "0.55,0.95,5"],  # both
-                 ["specfun", "--fn", "hyp2f1", "--params", "0.5", "--z", "0.3"]):  # too short
+                 ["specfun", "--fn", "hyp2f1", "--params", "0.5", "--z", "0.3"],  # too short
+                 ["specfun", "--fn", "digamma", "--z", "2.5"]):  # no longer a choice
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 2

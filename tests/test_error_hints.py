@@ -25,6 +25,6 @@ def _hinted_names():
 
 def test_hinted_functions_are_public():
     names = _hinted_names()
-    assert {"prabhakar_ln", "limit_moment_ln", "asymptotic_moment_ln"} <= names
+    assert {"prabhakar_ln", "limit_moment_ln"} <= names
     for name in names:
         assert callable(getattr(erwlab, name, None)), f"error hint names missing erwlab.{name}"

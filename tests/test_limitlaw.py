@@ -287,6 +287,11 @@ class TestPsiMgf:
         with pytest.raises(SeriesOverflowError):
             limitlaw.psi_mgf(0.75, 1e4)
 
+    @pytest.mark.parametrize("digits", [0, 30])
+    def test_nan_refused(self, digits):
+        with pytest.raises(ValueError, match="psi_mgf"):
+            limitlaw.psi_mgf(0.75, math.nan, precision_digits=digits)
+
     @pytest.mark.parametrize("a", [0.55, 0.75, 0.9])
     def test_overflow_band_and_fast_refusal(self, a, monkeypatch):
         # Psi's series peaks at about exp(u), u = (rho |r|)^(1/a): it is a

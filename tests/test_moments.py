@@ -194,11 +194,35 @@ class TestAsymptoticMoment:
         corr = abs(math.exp(exact - moments.asymptotic_moment_ln(ctx, 400, "first_correction")) - 1.0)
         assert corr < lead
 
+    def test_first_correction_closed_form(self):
+        # at n = 6 the Pochhammer ratio (delta)_6 / 6! is a short product
+        a = 0.75
+        ctx = moments.context(a)
+        poch = math.prod(ctx.delta + i for i in range(6)) / math.factorial(6)
+        corr = 1.0 + ctx.kappa * poch * (1.0 + (a - 1.0) / (3.0 * a + 1.0))
+        got = moments.asymptotic_moment_ln(ctx, 6, "first_correction")
+        assert_allclose(got - moments.asymptotic_moment_ln(ctx, 6), math.log(corr), rtol=1e-13)
+
+    @pytest.mark.parametrize("a", [0.75, 5.0 / 9.0])
+    def test_pochhammer_ratio_asymptotics(self, a):
+        # the correction's (delta)_n / n! = n^(delta-1)/Gamma(delta) (1 + delta(delta-1)/(2n)
+        # + O(n^-2)); delta = 1/7 and 2/7
+        n = 1000
+        ctx = moments.context(a)
+        d = ctx.delta
+        corr = math.exp(
+            moments.asymptotic_moment_ln(ctx, n, "first_correction")
+            - moments.asymptotic_moment_ln(ctx, n)
+        )
+        got = (corr - 1.0) / (ctx.kappa * (1.0 + (a - 1.0) / (3.0 * a + 1.0)))
+        lead = n ** (d - 1.0) / math.exp(math.lgamma(d))
+        assert abs(got / lead - 1.0) < 2.0 * abs(d * (d - 1.0)) / (2.0 * n) + 1e-3
+
     def test_linear_value_small_n(self):
         ctx = moments.context(0.75)
-        assert moments.asymptotic_moment(ctx, 3) > 0.0
+        assert math.isfinite(moments.asymptotic_moment_ln(ctx, 3))
         with pytest.raises(ValueError):
-            moments.asymptotic_moment(ctx, 3, "second")
+            moments.asymptotic_moment_ln(ctx, 3, "second")
 
 
 class TestHankel:

@@ -196,11 +196,11 @@ def test_public_calls_finite_or_typed_error_at_window_edges(a):
         lambda: limitlaw.genfun(a, 0.5 / moments.rho(a)),
         lambda: limitlaw.residuals(a, 0.5 / moments.rho(a)),
         lambda: limitlaw.eta_asymptote(a, 1.0),
-        lambda: walk.scaled_density(walk.row_at(walk.ErwParams.from_a(a), 50), a),
+        lambda: walk.scaled_density(walk.row_at(walk.ErwParams.from_a(a), 50), a, [0.5, 2.0]),
     ]
     calls += [lambda z=z: specfun.f_eval(a, z) for z in (0.5, 1.1, 5.0)]
     calls += [lambda r=r: limitlaw.psi_mgf(a, r) for r in (1.0, -1.0)]
-    for x in (0.5, 2.0, 4.5):
+    for x in (0.5, 2.0, 4.5, 0.0, -1.0, math.nan, math.inf):
         calls.append(lambda x=x: limitlaw.tail_ratio(moments.context(a), x))
         for side in ("positive", "negative"):
             for q in (1.0, 0.4):

@@ -50,23 +50,6 @@ class TestDigamma:
             specfun.digamma(-0.5)
 
 
-class TestPochhammer:
-    def test_matches_product(self):
-        x = 0.37
-        prod = 1.0
-        for i in range(6):
-            prod *= x + i
-        assert_allclose(math.exp(specfun.poch_ln(x, 6)), prod, rtol=1e-13)
-
-    @pytest.mark.parametrize("x", [1.0 / 7.0, 2.0 / 7.0])
-    def test_ratio_asymptotics(self, x):
-        # (x)_n / n! = n^(x-1)/Gamma(x) (1 + x(x-1)/(2n) + O(n^-2))
-        n = 1000
-        got = math.exp(specfun.poch_ln(x, n) - specfun.gamma_ln(n + 1.0))
-        lead = n ** (x - 1.0) / math.exp(specfun.gamma_ln(x))
-        assert abs(got / lead - 1.0) < 2.0 * abs(x * (x - 1.0)) / (2.0 * n) + 1e-3
-
-
 class TestHyp2F1:
     def test_at_zero(self):
         assert specfun.hyp2f1(0.3, 1.7, 2.2, 0.0).value == 1.0

@@ -387,35 +387,45 @@ class TestThresholdRoots:
 
 
 class TestScaledDensity:
+    @staticmethod
+    def _check_row(row, a):
+        """Heights n^a P / 2 bit for bit at the atoms and at each block's
+        upper edge, 0 at edges[0] and beyond edges[-1], and the row's mass
+        on blocks of width 2 / n^a."""
+        scale = float(row.n) ** a
+        s = row.support().astype(float)
+        edges = np.concatenate([s - 1.0, [s[-1] + 1.0]]) / scale
+        want = scale * row.probs / 2.0
+        assert walk.scaled_density(row, a, row.scaled_support(a)).tobytes() == want.tobytes()
+        assert walk.scaled_density(row, a, edges[1:]).tobytes() == want.tobytes()
+        beyond = [edges[0], np.nextafter(edges[0], -np.inf), np.nextafter(edges[-1], np.inf),
+                  edges[-1] + 1.0, np.inf, -np.inf, np.nan]
+        assert walk.scaled_density(row, a, beyond).tolist() == [0.0] * len(beyond)
+        assert_allclose(2.0 / scale * math.fsum(want), 1.0, rtol=1e-13)
+
     def test_single_block(self):
         # S_1 = +1 a.s.: one block of width 2 and height 1/2 around s = 1
         row = walk.DistributionRow(n=1, probs=np.array([1.0]))
-        d = walk.scaled_density(row, 0.75)
-        assert_allclose(d.breakpoints, [0.0, 2.0])
-        assert_allclose(d.values, [0.5])
-        assert_allclose(d.integral(), 1.0, rtol=1e-14)
-        assert d.pdf(1.3) == 0.5
-        assert d.pdf(2.5) == 0.0
-        assert d.pdf(-0.5) == 0.0
+        d = walk.scaled_density(row, 0.75, [-0.5, 0.0, 1e-300, 1.3, 2.0, 2.5])
+        assert d.tolist() == [0.0, 0.0, 0.5, 0.5, 0.5, 0.0]
+        self._check_row(row, 0.75)
 
     def test_two_step_heights(self):
         # n=2, p=0.8: heights 2^0.75 * {0.2, 0.8} / 2 on the scaled intervals
-        row = walk.evolve_distribution(walk.ErwParams(p=0.8), 2)[-1]
-        d = walk.scaled_density(row, 0.75)
-        assert_allclose(d.values, 2.0**0.75 * np.array([0.2, 0.8]) / 2.0, rtol=1e-14)
-        assert_allclose(d.integral(), 1.0, rtol=1e-12)
+        row = walk.row_at(walk.ErwParams(p=0.8), 2)
+        d = walk.scaled_density(row, 0.75, row.scaled_support(0.75))
+        assert_allclose(d, 2.0**0.75 * np.array([0.2, 0.8]) / 2.0, rtol=1e-14)
+        self._check_row(row, 0.75)
 
     def test_affine_large_row_and_mixture(self):
-        params = walk.ErwParams(p=0.85, q_first=0.4)
-        row = walk.evolve_distribution(params, 200)[-1]
-        d = walk.scaled_density(row, 0.7)
-        assert abs(d.integral() - 1.0) < 1e-10
-        assert np.all(d.values >= 0.0)
+        # mixture rows (k_lo = 0), n = 2 among them
+        for p, q, n, a in ((0.85, 0.4, 200, 0.7), (0.6, 0.5, 2, 0.6), (0.95, 0.3, 777, 0.9)):
+            self._check_row(walk.row_at(walk.ErwParams(p=p, q_first=q), n), a)
 
     def test_domain(self):
         row = walk.DistributionRow(n=1, probs=np.array([1.0]))
         with pytest.raises(ValueError):
-            walk.scaled_density(row, 0.4)
+            walk.scaled_density(row, 0.4, [1.0])
 
 
 class TestSimulate:
