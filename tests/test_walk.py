@@ -419,7 +419,7 @@ class TestScaledDensity:
 
     def test_affine_large_row_and_mixture(self):
         # mixture rows (k_lo = 0), n = 2 among them
-        for p, q, n, a in ((0.85, 0.4, 200, 0.7), (0.6, 0.5, 2, 0.6), (0.95, 0.3, 777, 0.9)):
+        for p, q, n, a in ((0.85, 0.4, 200, 0.7), (0.8, 0.5, 2, 0.6), (0.95, 0.3, 777, 0.9)):
             self._check_row(walk.row_at(walk.ErwParams(p=p, q_first=q), n), a)
 
     def test_domain(self):
