@@ -206,6 +206,11 @@ def asymptotic_moment_ln(ctx, n, order="leading"):
         poch_ratio = math.exp(gamma_ln(d + n) - gamma_ln(d) - gamma_ln(n + 1.0))
         sign = 1.0 if n % 2 == 0 else -1.0
         corr = 1.0 + ctx.kappa * poch_ratio * (sign + (a - 1.0) / (3.0 * a + 1.0))
+        if not corr > 0.0:
+            raise ValueError(
+                f"asymptotic_moment_ln: first correction factor {corr!r} <= 0 at"
+                f" a = {a!r}, n = {n}; the expansion does not hold there"
+            )
         return ln + math.log(corr)
     raise ValueError(f"unknown order {order!r}")
 

@@ -84,22 +84,22 @@ class ShapeReport:
     first_violation: int | None
 
 
-def _step(prev, n, p, ak, c_hi, c_lo):
-    """One recurrence step in place, without renormalisation.
+def _step(prev, new, n, p, ak, c_hi, c_lo):
+    """One recurrence step, without renormalisation.
 
     prev[1 : n + 1] holds row n (q_first = 1 layout) between the zero pads
-    prev[0] and prev[n + 1]; afterwards prev[1 : n + 2] holds row n + 1,
-    which the returned view shows.  ak[k] = a k; c_hi and c_lo are scratch
-    of at least n + 1 entries.  The operations and their order are those of
-    the recurrence as written in the module docstring, the products with
-    the zero pads included (c * 0.0 can be -0.0).
+    prev[0] and prev[n + 1]; the step writes row n + 1 once, into
+    new[1 : n + 2], and returns that view.  ak[k] = a k; c_hi and c_lo are
+    scratch of at least n + 1 entries.  The operations and their order are
+    those of the recurrence as written in the module docstring, the
+    products with the zero pads included (c * 0.0 can be -0.0).
     """
     hi, lo = c_hi[: n + 1], c_lo[: n + 1]
     np.subtract(n * p, ak[1 : n + 2], out=hi)
     hi *= prev[1 : n + 2]
     np.add((1.0 - p) * n, ak[: n + 1], out=lo)
     lo *= prev[: n + 1]
-    out = np.add(hi, lo, out=prev[1 : n + 2])
+    out = np.add(hi, lo, out=new[1 : n + 2])
     out /= n
     return out
 
@@ -113,54 +113,54 @@ def _mixture(row, q_first):
     return DistributionRow(n=n, probs=mixed, k_lo=0)
 
 
-def _own(row, q_first):
-    """A scratch view of a q_first = 1 row as a row of its own: a copy, or
-    its q_first-mixture."""
-    if q_first == 1.0:
-        return DistributionRow(n=row.n, probs=row.probs.copy())
-    return _mixture(row, q_first)
-
-
 def iter_rows(params, n_max):
     """Rows 1..n_max of the exact distribution, yielded one at a time.
 
     Row n has n entries for q_first = 1 and n+1 entries otherwise (the
     mixture row); every row is renormalised after the recurrence step.
-    Each step runs in place on preallocated scratch, so the generator
-    holds the current row plus four arrays of about n_max doubles: a k,
-    computed once, and three scratch arrays (the padded row and two
-    coefficient arrays).  The only array allocated per step is the row
-    yielded, which the caller may keep; `erwlab dist --all-rows` streams
-    these rows to its CSV.  A bad n_max raises here, before the caller
-    has consumed or written anything.
+    Each step writes its row once, into a fresh array that it yields as
+    is: a q_first = 1 row is read-only, since it is also the next step's
+    input, and the caller may keep it.  The generator holds the current
+    and previous rows plus three arrays of about n_max doubles: a k,
+    computed once, and two coefficient arrays.  `erwlab dist --all-rows`
+    streams these rows to its CSV.  A bad n_max raises here, before the
+    caller has consumed or written anything.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    return (_own(row, params.q_first) for row in _rows(params.p, n_max))
+    rows = _rows(params.p, n_max)
+    if params.q_first == 1.0:
+        return rows
+    return (_mixture(row, params.q_first) for row in rows)
 
 
 def _rows(p, n_max):
-    """q_first = 1 rows 1..n_max as views of one scratch row, which the
-    next step overwrites."""
+    """q_first = 1 rows 1..n_max, each a read-only view of its own padded
+    array, written once by the step that makes it."""
     ak = (2.0 * p - 1.0) * np.arange(n_max + 1)
-    prev = np.zeros(n_max + 1)  # the current row between zero pads
-    prev[1] = 1.0
     c_hi, c_lo = np.empty(n_max), np.empty(n_max)
+    prev = np.array([0.0, 1.0, 0.0])  # row 1 between zero pads
+    probs = prev[1:2]
     for n in range(1, n_max + 1):
         if n > 1:
-            probs = _step(prev, n - 1, p, ak, c_hi, c_lo)
+            new = np.empty(n + 2)
+            new[0] = new[n + 1] = 0.0
+            probs = _step(prev, new, n - 1, p, ak, c_hi, c_lo)
             probs /= probs.sum()
-        yield DistributionRow(n=n, probs=prev[1 : n + 1])
+            prev = new
+        probs.setflags(write=False)
+        yield DistributionRow(n=n, probs=probs)
 
 
 def row_at(params, n):
-    """Row n of the exact distribution alone, in O(n) memory: only this
-    row leaves the scratch."""
+    """Row n of the exact distribution alone, in O(n) memory: the steps
+    hold two rows at a time, and the last one is returned (read-only for
+    q_first = 1)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     for row in _rows(params.p, n):
         pass
-    return _own(row, params.q_first)
+    return row if params.q_first == 1.0 else _mixture(row, params.q_first)
 
 
 def evolve_distribution(params, n_max):

@@ -218,6 +218,14 @@ class TestAsymptoticMoment:
         lead = n ** (d - 1.0) / math.exp(math.lgamma(d))
         assert abs(got / lead - 1.0) < 2.0 * abs(d * (d - 1.0)) / (2.0 * n) + 1e-3
 
+    def test_first_correction_nonpositive_raises_named_error(self):
+        # near a = 1/2 the odd-n factor 1 + kappa (delta)_n/n! (-1 + (a-1)/(3a+1))
+        # is <= 0 at every odd n < 200
+        ctx = moments.context(0.50001)
+        for n in range(1, 200, 2):
+            with pytest.raises(ValueError, match=rf"asymptotic_moment_ln.*a = 0\.50001, n = {n}\b"):
+                moments.asymptotic_moment_ln(ctx, n, "first_correction")
+
     def test_linear_value_small_n(self):
         ctx = moments.context(0.75)
         assert math.isfinite(moments.asymptotic_moment_ln(ctx, 3))

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -131,7 +132,7 @@ def evolution_drift(row, p):
     prev = np.zeros(n + 2)
     prev[1 : n + 1] = row.probs
     ak = (2.0 * p - 1.0) * np.arange(n + 2)
-    nxt = walk._step(prev, n, p, ak, np.empty(n + 1), np.empty(n + 1))
+    nxt = walk._step(prev, np.zeros(n + 3), n, p, ak, np.empty(n + 1), np.empty(n + 1))
     return abs(nxt.sum() - 1.0)
 
 
@@ -286,6 +287,38 @@ class TestEvolve:
         row = walk.row_at(params, n)
         assert (row.n, row.k_lo) == (last.n, last.k_lo)
         assert row.probs.tobytes() == last.probs.tobytes()
+
+    def test_yielded_rows_are_read_only(self):
+        # each q_first = 1 row is the next step's input, so a write into
+        # one must raise rather than corrupt the rows after it
+        params = walk.ErwParams(p=0.875)
+        rows = walk.iter_rows(params, 60)
+        for _ in range(30):
+            row = next(rows)
+        with pytest.raises(ValueError):
+            row.probs[0] = 0.5
+        with pytest.raises(ValueError):
+            row.probs *= 2.0
+        for row in rows:
+            assert row.probs.tobytes() == walk.row_at(params, row.n).probs.tobytes()
+        assert row.n == 60
+
+    @pytest.mark.parametrize("consume", ["iter_rows", "row_at"])
+    def test_single_row_work_is_o_n(self, consume):
+        # a row at n = 5000 is 40 kB; a loop that kept its rows would hold
+        # about 100 MB
+        params = walk.ErwParams(p=0.875)
+        tracemalloc.start()
+        try:
+            if consume == "iter_rows":
+                for _ in walk.iter_rows(params, 5000):
+                    pass
+            else:
+                walk.row_at(params, 5000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 500_000
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
