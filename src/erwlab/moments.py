@@ -207,10 +207,7 @@ def asymptotic_moment_ln(ctx, n, order="leading"):
         sign = 1.0 if n % 2 == 0 else -1.0
         corr = 1.0 + ctx.kappa * poch_ratio * (sign + (a - 1.0) / (3.0 * a + 1.0))
         if not corr > 0.0:
-            raise ValueError(
-                f"asymptotic_moment_ln: first correction factor {corr!r} <= 0 at"
-                f" a = {a!r}, n = {n}; the expansion does not hold there"
-            )
+            raise ValueError(f"asymptotic_moment_ln: correction factor {corr!r} <= 0 at a = {a!r}, n = {n}")
         return ln + math.log(corr)
     raise ValueError(f"unknown order {order!r}")
 

@@ -84,22 +84,23 @@ class ShapeReport:
     first_violation: int | None
 
 
-def _step(prev, new, n, p, ak, c_hi, c_lo):
+def _step(prev, new, n, p, ak, c_lo):
     """One recurrence step, without renormalisation.
 
     prev[1 : n + 1] holds row n (q_first = 1 layout) between the zero pads
     prev[0] and prev[n + 1]; the step writes row n + 1 once, into
-    new[1 : n + 2], and returns that view.  ak[k] = a k; c_hi and c_lo are
-    scratch of at least n + 1 entries.  The operations and their order are
-    those of the recurrence as written in the module docstring, the
-    products with the zero pads included (c * 0.0 can be -0.0).
+    new[1 : n + 2], where it also builds the first term, and returns that
+    view.  ak[k] = a k; c_lo is scratch of at least n + 1 entries for the
+    second term.  The operations and their order are those of the
+    recurrence as written in the module docstring, the products with the
+    zero pads included (c * 0.0 can be -0.0).
     """
-    hi, lo = c_hi[: n + 1], c_lo[: n + 1]
-    np.subtract(n * p, ak[1 : n + 2], out=hi)
-    hi *= prev[1 : n + 2]
+    out, lo = new[1 : n + 2], c_lo[: n + 1]
+    np.subtract(n * p, ak[1 : n + 2], out=out)
+    out *= prev[1 : n + 2]
     np.add((1.0 - p) * n, ak[: n + 1], out=lo)
     lo *= prev[: n + 1]
-    out = np.add(hi, lo, out=new[1 : n + 2])
+    out += lo
     out /= n
     return out
 
@@ -121,31 +122,29 @@ def iter_rows(params, n_max):
     Each step writes its row once, into a fresh array that it yields as
     is: a q_first = 1 row is read-only, since it is also the next step's
     input, and the caller may keep it.  The generator holds the current
-    and previous rows plus three arrays of about n_max doubles: a k,
-    computed once, and two coefficient arrays.  `erwlab dist --all-rows`
+    and previous rows plus two arrays of about n_max doubles: a k,
+    computed once, and one coefficient array.  `erwlab dist --all-rows`
     streams these rows to its CSV.  A bad n_max raises here, before the
     caller has consumed or written anything.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     rows = _rows(params.p, n_max)
-    if params.q_first == 1.0:
-        return rows
-    return (_mixture(row, params.q_first) for row in rows)
+    return rows if params.q_first == 1.0 else (_mixture(row, params.q_first) for row in rows)
 
 
 def _rows(p, n_max):
     """q_first = 1 rows 1..n_max, each a read-only view of its own padded
     array, written once by the step that makes it."""
     ak = (2.0 * p - 1.0) * np.arange(n_max + 1)
-    c_hi, c_lo = np.empty(n_max), np.empty(n_max)
+    c_lo = np.empty(n_max)
     prev = np.array([0.0, 1.0, 0.0])  # row 1 between zero pads
     probs = prev[1:2]
     for n in range(1, n_max + 1):
         if n > 1:
             new = np.empty(n + 2)
             new[0] = new[n + 1] = 0.0
-            probs = _step(prev, new, n - 1, p, ak, c_hi, c_lo)
+            probs = _step(prev, new, n - 1, p, ak, c_lo)
             probs /= probs.sum()
             prev = new
         probs.setflags(write=False)
@@ -154,8 +153,7 @@ def _rows(p, n_max):
 
 def row_at(params, n):
     """Row n of the exact distribution alone, in O(n) memory: the steps
-    hold two rows at a time, and the last one is returned (read-only for
-    q_first = 1)."""
+    hold two rows at a time and return the last, as iter_rows yields it."""
     if n < 1:
         raise ValueError("n must be >= 1")
     for row in _rows(params.p, n):

@@ -132,7 +132,7 @@ def evolution_drift(row, p):
     prev = np.zeros(n + 2)
     prev[1 : n + 1] = row.probs
     ak = (2.0 * p - 1.0) * np.arange(n + 2)
-    nxt = walk._step(prev, np.zeros(n + 3), n, p, ak, np.empty(n + 1), np.empty(n + 1))
+    nxt = walk._step(prev, np.zeros(n + 3), n, p, ak, np.empty(n + 1))
     return abs(nxt.sum() - 1.0)
 
 
