@@ -280,6 +280,24 @@ class TestEvolve:
             h.update(row.probs.tobytes())
         assert h.hexdigest() == digest
 
+    # the same over every row before the first entry below the smallest
+    # normal double: row 5238 at p = 0.875, row 590 at p = 0.3 and row 172
+    # at p = 0 (whose rows hold exact zeros from row 2 on)
+    @pytest.mark.parametrize(
+        "p, q_first, n_max, digest",
+        [
+            (0.875, 1.0, 5237,
+             "115113e1ef33363fcff94e9712881f0b9f99cb9257d4ccc795d4763a194f5b0e"),
+            (0.3, 0.0, 589,
+             "f861f6de48914ae5121c507704e4808e2d5ae148bef3e520bebd3a3fa68effdc"),
+            (0.0, 1.0, 171,
+             "c905e23d2ed659e383f5a565829e4e40f4fcca032686ba80a392f3ad8db6c54c"),
+        ],
+        ids=["p0.875-n5237", "p0.3-q0-n589", "p0-n171"],
+    )
+    def test_streamed_rows_sha256_before_underflow(self, p, q_first, n_max, digest):
+        self.test_streamed_rows_sha256(p, q_first, n_max, digest)
+
     @pytest.mark.parametrize("p, q_first, n", [(0.875, 1.0, 200), (0.8, 0.4, 57), (0.3, 0.0, 1)])
     def test_row_at_is_last_streamed_row(self, p, q_first, n):
         params = walk.ErwParams(p=p, q_first=q_first)
