@@ -9,8 +9,10 @@ probabilities satisfy the triangular recurrence
 a = 2p - 1, with P(n, 0) = P(n, n+1) = 0.  Rows are evolved in
 probability space (the integer-array variant grows factorially) and
 renormalised each step; drift before renormalisation stays near machine
-epsilon.  Rows for q_first < 1 are mixtures of the q_first = 1 row and
-its reflection.
+epsilon.  A probability below the smallest normal double (about 2.2e-308)
+reads 0: each step recurs only on the window of entries at or above it.
+Rows for q_first < 1 are mixtures of the q_first = 1 row and its
+reflection.
 """
 
 import math
@@ -23,6 +25,8 @@ import numpy as np
 from .rootfind import bisect_newton
 
 _REL_TOL = 1e-12
+# smallest normal double; a row entry below it reads 0
+_TINY = np.finfo(float).tiny
 # largest count * n one simulate_terminal call accepts
 _STEP_BUDGET = 2**31
 
@@ -84,33 +88,38 @@ class ShapeReport:
     first_violation: int | None
 
 
-def _step(prev, new, n, p, ak, c_lo):
-    """One recurrence step, without renormalisation.
+def _step(prev, new, n, p, ak, c_lo, lo, hi):
+    """One recurrence step over a window, without renormalisation.
 
     prev[1 : n + 1] holds row n (q_first = 1 layout) between the zero pads
-    prev[0] and prev[n + 1]; the step writes row n + 1 once, into
-    new[1 : n + 2], where it also builds the first term, and returns that
-    view.  ak[k] = a k; c_lo is scratch of at least n + 1 entries for the
-    second term.  The operations and their order are those of the
-    recurrence as written in the module docstring, the products with the
-    zero pads included (c * 0.0 can be -0.0).
+    prev[0] and prev[n + 1], and prev is 0 outside its window [lo, hi].
+    Row n + 1 is then 0 outside [lo, hi + 1]; the step writes that window
+    once, into new[lo : hi + 2], where it also builds the first term, and
+    returns that view.  ak[k] = a k; c_lo is scratch of at least n + 1
+    entries for the second term.  The operations and their order are those
+    of the recurrence as written in the module docstring, the products
+    with the zeros at either side of the window included (c * 0.0 can be
+    -0.0), so each entry of the window is the one the whole-row step
+    writes from the same row n.
     """
-    out, lo = new[1 : n + 2], c_lo[: n + 1]
-    np.subtract(n * p, ak[1 : n + 2], out=out)
-    out *= prev[1 : n + 2]
-    np.add((1.0 - p) * n, ak[: n + 1], out=lo)
-    lo *= prev[: n + 1]
-    out += lo
+    out, lo_term = new[lo : hi + 2], c_lo[: hi - lo + 2]
+    np.subtract(n * p, ak[lo : hi + 2], out=out)
+    out *= prev[lo : hi + 2]
+    np.add((1.0 - p) * n, ak[lo - 1 : hi + 1], out=lo_term)
+    lo_term *= prev[lo - 1 : hi + 1]
+    out += lo_term
     out /= n
     return out
 
 
-def _mixture(row, q_first):
-    """q_first-mixture of a q_first = 1 row with its reflection (k -> n - k)."""
-    n = row.n
+def _mixture(probs, q_first):
+    """q_first-mixture of a q_first = 1 row with its reflection (k -> n - k);
+    an entry that the scaling takes below the smallest normal double reads 0."""
+    n = len(probs)
     mixed = np.zeros(n + 1)
-    mixed[1:] += q_first * row.probs
-    mixed[:n] += (1.0 - q_first) * row.probs[::-1]
+    mixed[1:] += q_first * probs
+    mixed[:n] += (1.0 - q_first) * probs[::-1]
+    mixed[mixed < _TINY] = 0.0
     return DistributionRow(n=n, probs=mixed, k_lo=0)
 
 
@@ -119,46 +128,80 @@ def iter_rows(params, n_max):
 
     Row n has n entries for q_first = 1 and n+1 entries otherwise (the
     mixture row); every row is renormalised after the recurrence step.
-    Each step writes its row once, into a fresh array that it yields as
-    is: a q_first = 1 row is read-only, since it is also the next step's
-    input, and the caller may keep it.  The generator holds the current
-    and previous rows plus two arrays of about n_max doubles: a k,
-    computed once, and one coefficient array.  `erwlab dist --all-rows`
-    streams these rows to its CSV.  A bad n_max raises here, before the
-    caller has consumed or written anything.
+    An entry below the smallest normal double (about 2.2e-308) reads 0:
+    the steps recur only on the window of entries at or above it (see
+    _rows).  Each step writes its row once, into a fresh array that is
+    yielded as is: a q_first = 1 row is read-only, since it is also the
+    next step's input, and the caller may keep it.  The generator holds
+    the current and previous rows plus two arrays of about n_max doubles:
+    a k, computed once, and one coefficient array.  `erwlab dist
+    --all-rows` streams these rows to its CSV.  A bad n_max raises here,
+    before the caller has consumed or written anything.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     rows = _rows(params.p, n_max)
-    return rows if params.q_first == 1.0 else (_mixture(row, params.q_first) for row in rows)
+    if params.q_first == 1.0:
+        return (DistributionRow(n=len(probs), probs=probs) for probs in rows)
+    return (_mixture(probs, params.q_first) for probs in rows)
 
 
 def _rows(p, n_max):
-    """q_first = 1 rows 1..n_max, each a read-only view of its own padded
-    array, written once by the step that makes it."""
+    """q_first = 1 rows 1..n_max as plain arrays, each a read-only view of
+    its own padded array, written once by the step that makes it.
+
+    Each row keeps the window [lo, hi] of its entries at or above the
+    smallest normal double; it is 0 outside.  A step recurs on the window
+    alone (the next row is 0 outside [lo, hi + 1]), renormalises by the
+    sum over the whole row, then trims the entries below that double from
+    both ends of the window and sets them to 0.  Underflowed tails thus
+    read 0 instead of subnormals that are stuck many orders of magnitude
+    too large and slow to operate on.  While the window is the whole row,
+    each row equals the whole-row step's bit for bit; the sum runs over
+    the whole row because a sum over the window alone rounds differently
+    where the row holds exact zeros (p = 0).
+    """
     ak = (2.0 * p - 1.0) * np.arange(n_max + 1)
     c_lo = np.empty(n_max)
     prev = np.array([0.0, 1.0, 0.0])  # row 1 between zero pads
     probs = prev[1:2]
-    for n in range(1, n_max + 1):
-        if n > 1:
-            new = np.empty(n + 2)
+    probs.setflags(write=False)
+    yield probs
+    lo = hi = 1
+    for n in range(2, n_max + 1):
+        new = np.empty(n + 2)
+        whole = lo == 1 and hi == n - 1
+        if whole:
             new[0] = new[n + 1] = 0.0
-            probs = _step(prev, new, n - 1, p, ak, c_lo)
-            probs /= probs.sum()
-            prev = new
+        else:
+            new[:lo] = 0.0
+            new[hi + 2 :] = 0.0
+        window = _step(prev, new, n - 1, p, ak, c_lo, lo, hi)
+        probs = window if whole else new[1 : n + 1]
+        window /= probs.sum()
+        hi += 1
+        while new[hi] < _TINY:
+            new[hi] = 0.0
+            hi -= 1
+        while new[lo] < _TINY:
+            new[lo] = 0.0
+            lo += 1
+        prev = new
         probs.setflags(write=False)
-        yield DistributionRow(n=n, probs=probs)
+        yield probs
 
 
 def row_at(params, n):
     """Row n of the exact distribution alone, in O(n) memory: the steps
-    hold two rows at a time and return the last, as iter_rows yields it."""
+    hold two rows at a time and return the last, as iter_rows yields it
+    (entries below the smallest normal double read 0)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    for row in _rows(params.p, n):
+    for probs in _rows(params.p, n):
         pass
-    return row if params.q_first == 1.0 else _mixture(row, params.q_first)
+    if params.q_first == 1.0:
+        return DistributionRow(n=n, probs=probs)
+    return _mixture(probs, params.q_first)
 
 
 def evolve_distribution(params, n_max):

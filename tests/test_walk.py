@@ -4,6 +4,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -125,6 +126,30 @@ def evolve_q_exact(p, n_max):
     return rows
 
 
+def unwindowed_rows(p, q_first, n_max):
+    """Rows 1..n_max by the list-building loop that iter_rows replaced:
+    advance the whole row, renormalise, then mix.  It keeps every entry,
+    subnormals included, so it is also the oracle for the window of normal
+    entries that walk._rows recurs on."""
+    a = 2.0 * p - 1.0
+    probs = np.array([1.0])
+    for n in range(1, n_max + 1):
+        if n > 1:
+            m = n - 1
+            prev = np.zeros(m + 2)
+            prev[1 : m + 1] = probs
+            k = np.arange(1, m + 2)
+            probs = ((m * p - a * k) * prev[1:] + ((1.0 - p) * m + a * (k - 1)) * prev[:-1]) / m
+            probs /= probs.sum()
+        if q_first == 1.0:
+            yield probs
+        else:
+            mixed = np.zeros(n + 1)
+            mixed[1:] += q_first * probs
+            mixed[:n] += (1.0 - q_first) * probs[::-1]
+            yield mixed
+
+
 def evolution_drift(row, p):
     """|sum - 1| of a q_first = 1 row advanced one recurrence step before
     renormalisation: the step conserves mass, so this is rounding alone."""
@@ -132,7 +157,7 @@ def evolution_drift(row, p):
     prev = np.zeros(n + 2)
     prev[1 : n + 1] = row.probs
     ak = (2.0 * p - 1.0) * np.arange(n + 2)
-    nxt = walk._step(prev, np.zeros(n + 3), n, p, ak, np.empty(n + 1))
+    nxt = walk._step(prev, np.zeros(n + 3), n, p, ak, np.empty(n + 1), 1, n)
     return abs(nxt.sum() - 1.0)
 
 
@@ -200,6 +225,39 @@ class TestEvolve:
         exact = np.array([math.comb(n - 1, k - 1) / 2 ** (n - 1) for k in range(1, n + 1)])
         assert_allclose(row.probs, exact, rtol=1e-14, atol=0.0)
 
+    def test_binomial_row_past_underflow(self):
+        # row 1100 at p = 1/2 is C(1099, k-1) / 2^1099; its tails lie below
+        # the smallest normal double 2^-1022, that is C(1099, k-1) < 2^77,
+        # and there the row reads 0 instead of a stuck subnormal
+        n = 1100
+        row = walk.row_at(walk.ErwParams(p=0.5), n)
+        counts = [math.comb(n - 1, k - 1) for k in range(1, n + 1)]
+        exact = np.array([c / 2 ** (n - 1) for c in counts])
+        normal = exact >= 1e-290
+        assert_allclose(row.probs[normal], exact[normal], rtol=1e-13, atol=0.0)
+        below = np.array([c < 2 ** (n - 1 - 1022) for c in counts])
+        assert below.sum() > 0
+        assert np.all(row.probs[below] == 0.0)
+
+    @pytest.mark.parametrize("p", [0.8, 0.875])
+    def test_moments_past_underflow(self, p):
+        # the recurrences of Bercu, J. Phys. A 51 (2018) 015201, in 30 digits:
+        # E[S_n] = Gamma(n + a) / (Gamma(n) Gamma(1 + a)) and
+        # E[S_{k+1}^2] = (1 + 2a/k) E[S_k^2] + 1 with E[S_1^2] = 1; a = 2p - 1
+        # is exact in binary, as the walk computes it
+        n = 20_000
+        row = walk.row_at(walk.ErwParams(p=p), n)
+        s = row.support().astype(float)
+        with mp.workdps(30):
+            a = 2 * mp.mpf(p) - 1
+            mean = mp.gamma(n + a) / (mp.gamma(n) * mp.gamma(1 + a))
+            second = mp.mpf(1)
+            for k in range(1, n):
+                second = (1 + 2 * a / k) * second + 1
+            mean, second = float(mean), float(second)
+        assert abs(float(np.dot(s, row.probs)) / mean - 1.0) < 1e-13
+        assert abs(float(np.dot(s * s, row.probs)) / second - 1.0) < 1e-13
+
     @pytest.mark.parametrize("q_first", [1.0, 0.7, 0.3])
     def test_mean_identity(self, q_first):
         params = walk.ErwParams(p=0.85, q_first=q_first)
@@ -225,26 +283,9 @@ class TestEvolve:
          (0.0, 1.0, 150), (0.5, 1.0, 200), (1.0, 0.3, 150)],
     )
     def test_streamed_rows_byte_identical(self, p, q_first, n_max):
-        # reference: the list-building loop (advance, renormalise, then mix)
-        # that iter_rows replaced; streaming must not change a single bit
-        a = 2.0 * p - 1.0
-        probs = np.array([1.0])
-        ref = [probs]
-        for n in range(1, n_max):
-            prev = np.zeros(n + 2)
-            prev[1 : n + 1] = probs
-            k = np.arange(1, n + 2)
-            probs = ((n * p - a * k) * prev[1:] + ((1.0 - p) * n + a * (k - 1)) * prev[:-1]) / n
-            probs /= probs.sum()
-            ref.append(probs)
-        if q_first != 1.0:
-            mixed = []
-            for n, r in enumerate(ref, start=1):
-                m = np.zeros(n + 1)
-                m[1:] += q_first * r
-                m[:n] += (1.0 - q_first) * r[::-1]
-                mixed.append(m)
-            ref = mixed
+        # before the first entry below the smallest normal double, streaming
+        # and the window must not change a single bit
+        ref = list(unwindowed_rows(p, q_first, n_max))
         params = walk.ErwParams(p=p, q_first=q_first)
         streamed = list(walk.iter_rows(params, n_max))
         listed = walk.evolve_distribution(params, n_max)
@@ -255,20 +296,43 @@ class TestEvolve:
             assert s.probs.dtype == l.probs.dtype == np.float64
             assert s.probs.tobytes() == l.probs.tobytes() == r.tobytes()
 
-    # SHA-256 over the bytes of every streamed row: p = 0.875 reaches the
-    # subnormal onset before n = 12000; mixtures at p < 1/2 and p = 1/2;
-    # both ends of the p range
+    @pytest.mark.parametrize(
+        "p, q_first, n_max",
+        [(0.0, 1.0, 300), (0.3, 0.0, 700), (0.5, 1.0, 1200), (0.8, 0.4, 3300),
+         (0.875, 1.0, 5400), (1.0, 0.3, 300)],
+    )
+    def test_window_against_unwindowed_rows(self, p, q_first, n_max):
+        # past the first entry below the smallest normal double (row 172 at
+        # p = 0, 590 at 0.3, 1024 at 0.5, 3143 at 0.8, 5238 at 0.875; p = 1
+        # has exact zeros only): every entry of at least 1e-290 agrees with
+        # the loop that keeps the subnormals, and every nonzero entry is normal
+        tiny = np.finfo(float).tiny
+        rows = walk.iter_rows(walk.ErwParams(p=p, q_first=q_first), n_max)
+        subnormal_seen = False
+        for row, ref in zip(rows, unwindowed_rows(p, q_first, n_max)):
+            got = row.probs
+            big = ref >= 1e-290
+            assert np.all(np.abs(got[big] - ref[big]) <= 1e-13 * ref[big]), row.n
+            assert np.all((got == 0.0) | (got >= tiny)), row.n
+            subnormal_seen |= bool(np.any((ref > 0.0) & (ref < tiny)))
+        assert row.n == n_max
+        assert subnormal_seen == (p != 1.0)
+
+    # SHA-256 over the bytes of every streamed row: p = 0.875, 0.3 and 0
+    # cross the first entry below the smallest normal double, which reads 0
+    # from there on; mixtures at p < 1/2 and p = 1/2; both ends of the p
+    # range
     @pytest.mark.parametrize(
         "p, q_first, n_max, digest",
         [
             (0.875, 1.0, 12000,
-             "e88b0d18ca539f705cf9bce2d760a9e841610eb3d76a91153f9b107f0d71466a"),
+             "8584ed116a34b323ec4bde9cf46ada93902336b0fa214f0fd4e00da546517546"),
             (0.3, 0.0, 1500,
-             "cb7358572aa3524680402d474cc47a60b75939bdb27e3daad085d5025b2e0311"),
+             "0d9296fff24690e795f2fa9983d5cf5d16b06b28fb1b38b15632c83db59a52d8"),
             (0.5, 0.4, 1000,
              "72e6eb2e078b11933ea683e8bfe96bf63b16c8ac2aaddf75325f25c81de52fef"),
             (0.0, 1.0, 300,
-             "20dd9e0a5d0cc30b6bab9a1980c04609e750c09428846a4dc81d8d8db3de77e3"),
+             "25760432ed1d22377c843b05774c56ca405a0f00572922ae00de3751e6cfe803"),
             (1.0, 1.0, 300,
              "55e0bfd154592d9dda7f793579cb26ce1c2c51cccf775c1c512dc1fafa381fb3"),
         ],
