@@ -15,6 +15,7 @@ Rows for q_first < 1 are mixtures of the q_first = 1 row and its
 reflection.
 """
 
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -103,9 +104,9 @@ def _step(prev, new, n, p, ak, c_lo, lo, hi):
     writes from the same row n.
     """
     out, lo_term = new[lo : hi + 2], c_lo[: hi - lo + 2]
-    np.subtract(n * p, ak[lo : hi + 2], out=out)
+    np.subtract(n * p, ak[lo : hi + 2], out)
     out *= prev[lo : hi + 2]
-    np.add((1.0 - p) * n, ak[lo - 1 : hi + 1], out=lo_term)
+    np.add((1.0 - p) * n, ak[lo - 1 : hi + 1], lo_term)
     lo_term *= prev[lo - 1 : hi + 1]
     out += lo_term
     out /= n
@@ -132,7 +133,7 @@ def iter_rows(params, n_max):
     the steps recur only on the window of entries at or above it (see
     _rows).  Each step writes its row once, into a fresh array that is
     yielded as is: a q_first = 1 row is read-only, since it is also the
-    next step's input, and the caller may keep it.  The generator holds
+    next step's input, and the caller may keep it.  The iterator holds
     the current and previous rows plus two arrays of about n_max doubles:
     a k, computed once, and one coefficient array.  `erwlab dist
     --all-rows` streams these rows to its CSV.  A bad n_max raises here,
@@ -142,7 +143,7 @@ def iter_rows(params, n_max):
         raise ValueError("n_max must be >= 1")
     rows = _rows(params.p, n_max)
     if params.q_first == 1.0:
-        return (DistributionRow(n=len(probs), probs=probs) for probs in rows)
+        return map(DistributionRow, itertools.count(1), rows)
     return (_mixture(probs, params.q_first) for probs in rows)
 
 
