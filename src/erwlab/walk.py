@@ -172,6 +172,8 @@ def _rows(p, n_max):
     for n in range(2, n_max + 1):
         new = np.empty(n + 2)
         whole = lo == 1 and hi == n - 1
+        # zeros go outside the window; for a whole row (every step before
+        # the first underflow) that is the two pads, set without slicing
         if whole:
             new[0] = new[n + 1] = 0.0
         else:

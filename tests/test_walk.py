@@ -319,48 +319,38 @@ class TestEvolve:
         assert subnormal_seen == (p != 1.0)
 
     # SHA-256 over the bytes of every streamed row: p = 0.875, 0.3 and 0
-    # cross the first entry below the smallest normal double, which reads 0
-    # from there on; mixtures at p < 1/2 and p = 1/2; both ends of the p
+    # cross the first entry below the smallest normal double (row 5238, 590
+    # and 172), which reads 0 from there on, and the rows before it are
+    # pinned apart; mixtures at p < 1/2 and p = 1/2; both ends of the p
     # range
     @pytest.mark.parametrize(
         "p, q_first, n_max, digest",
         [
             (0.875, 1.0, 12000,
              "8584ed116a34b323ec4bde9cf46ada93902336b0fa214f0fd4e00da546517546"),
+            (0.875, 1.0, 5237,
+             "115113e1ef33363fcff94e9712881f0b9f99cb9257d4ccc795d4763a194f5b0e"),
             (0.3, 0.0, 1500,
              "0d9296fff24690e795f2fa9983d5cf5d16b06b28fb1b38b15632c83db59a52d8"),
+            (0.3, 0.0, 589,
+             "f861f6de48914ae5121c507704e4808e2d5ae148bef3e520bebd3a3fa68effdc"),
             (0.5, 0.4, 1000,
              "72e6eb2e078b11933ea683e8bfe96bf63b16c8ac2aaddf75325f25c81de52fef"),
             (0.0, 1.0, 300,
              "25760432ed1d22377c843b05774c56ca405a0f00572922ae00de3751e6cfe803"),
+            (0.0, 1.0, 171,
+             "c905e23d2ed659e383f5a565829e4e40f4fcca032686ba80a392f3ad8db6c54c"),
             (1.0, 1.0, 300,
              "55e0bfd154592d9dda7f793579cb26ce1c2c51cccf775c1c512dc1fafa381fb3"),
         ],
-        ids=["p0.875-n12000", "p0.3-q0-n1500", "p0.5-q0.4-n1000", "p0-n300", "p1-n300"],
+        ids=["p0.875-n12000", "p0.875-n5237", "p0.3-q0-n1500", "p0.3-q0-n589",
+             "p0.5-q0.4-n1000", "p0-n300", "p0-n171", "p1-n300"],
     )
     def test_streamed_rows_sha256(self, p, q_first, n_max, digest):
         h = hashlib.sha256()
         for row in walk.iter_rows(walk.ErwParams(p=p, q_first=q_first), n_max):
             h.update(row.probs.tobytes())
         assert h.hexdigest() == digest
-
-    # the same over every row before the first entry below the smallest
-    # normal double: row 5238 at p = 0.875, row 590 at p = 0.3 and row 172
-    # at p = 0 (whose rows hold exact zeros from row 2 on)
-    @pytest.mark.parametrize(
-        "p, q_first, n_max, digest",
-        [
-            (0.875, 1.0, 5237,
-             "115113e1ef33363fcff94e9712881f0b9f99cb9257d4ccc795d4763a194f5b0e"),
-            (0.3, 0.0, 589,
-             "f861f6de48914ae5121c507704e4808e2d5ae148bef3e520bebd3a3fa68effdc"),
-            (0.0, 1.0, 171,
-             "c905e23d2ed659e383f5a565829e4e40f4fcca032686ba80a392f3ad8db6c54c"),
-        ],
-        ids=["p0.875-n5237", "p0.3-q0-n589", "p0-n171"],
-    )
-    def test_streamed_rows_sha256_before_underflow(self, p, q_first, n_max, digest):
-        self.test_streamed_rows_sha256(p, q_first, n_max, digest)
 
     @pytest.mark.parametrize("p, q_first, n", [(0.875, 1.0, 200), (0.8, 0.4, 57), (0.3, 0.0, 1)])
     def test_row_at_is_last_streamed_row(self, p, q_first, n):
