@@ -564,6 +564,9 @@ class TestSimulate:
              "70a74fcbc5536dfdb702ccf7c2041f7a8f8470a8956dbd88c14fb3cfc95429a1"),
             (0.8, 0.5, 1, 9, 14, 1,
              "f754fd9be7e66581f9a60052fdb591aed6b784b45fca373f6fac4b74f7d05442"),
+            # mc_long's and c09's block shape: 11 blocks of 6, then a partial 4
+            (0.9, 1.0, 10_000, 70, 15, 1,
+             "e1b53bdf8610976ad18db0556a6b1bfc896b8f2e2d0172a878b47c972351cdbd"),
         ],
     )
     def test_golden_sha256(self, a, q_first, n, count, seed, threads, digest):
@@ -594,6 +597,24 @@ class TestSimulate:
             ref = _simulate_chunk_reference(p, q_first, n, seed, lo, hi)
             assert got.dtype == ref.dtype == np.int64
             assert got.tobytes() == ref.tobytes()
+
+    @staticmethod
+    def _chunk_peak(n, count):
+        # traced peak of one worker's chunk, after an untraced call of the
+        # same n has made numpy's one-time allocations
+        walk._simulate_chunk(0.9, 1.0, n, 21, 0, 1)
+        tracemalloc.start()
+        try:
+            walk._simulate_chunk(0.9, 1.0, n, 21, 0, count)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    @pytest.mark.parametrize("n, count", [(10_000, 6), (200, 10_000), (70_000, 3)])
+    def test_worker_memory_per_block_step(self, n, count):
+        block = max(1, min(count, 2**16 // n))
+        assert self._chunk_peak(n, count) <= 48 * block * n
 
     def test_seed_changes_output(self):
         params = walk.ErwParams(p=0.9)
