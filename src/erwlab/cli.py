@@ -120,7 +120,7 @@ def cmd_simulate(args):
         rows = [(edges[i], edges[i + 1], hist[i]) for i in range(len(hist))]
         write_csv(args.out, ("x_left", "x_right", "density"), rows, meta=meta)
     else:
-        write_csv(args.out, ("sample",), [(s,) for s in samples.tolist()], meta=meta)
+        write_csv(args.out, ("sample",), zip(samples.tolist()), meta=meta)
     return 0
 
 

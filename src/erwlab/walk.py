@@ -304,9 +304,17 @@ def _simulate_chunk(p, q_first, n, seed, lo, hi):
     # trajectories is resolved by pointer jumping (see simulate_terminal)
     count = hi - lo
     block = max(1, min(count, 2**16 // n))
+    # every per-block array is allocated once per chunk and reused, the last
+    # (partial) block through [:b] views; fresh arrays per block cost page
+    # faults under the thread pool, where the allocator keeps returning them
     u_pick = np.empty((block, n))
     u_flip = np.empty((block, n), dtype=np.float32)
+    parent = np.empty((block, n), dtype=np.intp)
+    up = np.empty(block * n, dtype=np.intp)
+    sign = np.empty((block, n), dtype=np.int8)
+    hop = np.empty(block * n, dtype=np.int8)
     times = np.arange(n)
+    offsets = np.arange(0, block * n, n)[:, None]
     sums = np.empty(count, dtype=np.int64)
     # one generator per chunk, reset for each trajectory to a fresh state
     # (zero counter, empty buffer, no buffered uint32: at odd n the float32
@@ -334,23 +342,34 @@ def _simulate_chunk(p, q_first, n, seed, lo, hi):
             bitgen.state = fresh
             random(out=pick_rows[j])
             random(dtype=f32, out=flip_rows[j])
-        pick, flip = u_pick[:b], u_flip[:b]
+        pick, flip, signs = u_pick[:b], u_flip[:b], sign[:b]
         pick *= times
-        parent = pick.astype(np.intp)
-        parent += (np.arange(b) * n)[:, None]
-        parent = parent.reshape(-1)
-        sign = np.where(flip < p, np.int8(1), np.int8(-1))
-        sign[:, 0] = 1
+        # the unsafe cast truncates, as astype(np.intp) does
+        np.copyto(parent[:b], pick, casting="unsafe")
+        parent[:b] += offsets[:b]
+        # +1 (copy) / -1 (flip): 0/1 from the comparison, then 2x - 1
+        np.less(flip, p, out=signs.view(np.bool_))
+        signs *= 2
+        signs -= 1
+        signs[:, 0] = 1
         first = np.where(flip[:, 0] < q_first, 1, -1)
-        sign = sign.reshape(-1)
-        # invariant: step[m] = sign[m] * step[parent[m]]; a root is its own parent
+        at, nxt = parent[:b].reshape(-1), up[: b * n]
+        sgn, hp = signs.reshape(-1), hop[: b * n]
+        if at.min() < 0 or at.max() >= b * n:
+            raise IndexError(f"parent index out of range [0, {b * n})")
+        # invariant: step[m] = sgn[m] * step[at[m]]; a root is its own parent.
+        # A gather of in-range indices stays in range, so mode="clip" never
+        # clips; unlike mode="raise" it writes out= without a hidden copy.
+        # hp holds each round's "moved" flags before it holds the hop signs
         while True:
-            up = parent[parent]
-            if np.array_equal(up, parent):
+            np.take(at, at, out=nxt, mode="clip")
+            moved = np.not_equal(nxt, at, out=hp.view(np.bool_))
+            if not moved.any():
                 break
-            sign *= sign[parent]
-            parent = up
-        sums[start : start + b] = first * sign.reshape(b, n).sum(axis=1, dtype=np.int64)
+            np.take(sgn, at, out=hp, mode="clip")
+            sgn *= hp
+            at, nxt = nxt, at
+        sums[start : start + b] = first * signs.sum(axis=1, dtype=np.int64)
     return sums
 
 

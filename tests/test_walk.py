@@ -614,7 +614,12 @@ class TestSimulate:
     @pytest.mark.parametrize("n, count", [(10_000, 6), (200, 10_000), (70_000, 3)])
     def test_worker_memory_per_block_step(self, n, count):
         block = max(1, min(count, 2**16 // n))
-        assert self._chunk_peak(n, count) <= 48 * block * n
+        assert self._chunk_peak(n, count) <= 42 * block * n
+
+    def test_worker_memory_flat_in_blocks(self):
+        # ten blocks of 6 at n = 1e4 hold what one block holds, plus the
+        # 8-byte sum of each trajectory: no block keeps arrays of its own
+        assert self._chunk_peak(10_000, 60) <= self._chunk_peak(10_000, 6) + 8 * 60 + 65_536
 
     def test_seed_changes_output(self):
         params = walk.ErwParams(p=0.9)
