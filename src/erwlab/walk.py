@@ -344,7 +344,7 @@ def _simulate_chunk(p, q_first, n, seed, lo, hi):
             random(dtype=f32, out=flip_rows[j])
         pick, flip, signs = u_pick[:b], u_flip[:b], sign[:b]
         pick *= times
-        # the unsafe cast truncates, as astype(np.intp) does
+        # the unsafe cast truncates: step m picks step floor(u_m * m)
         np.copyto(parent[:b], pick, casting="unsafe")
         parent[:b] += offsets[:b]
         # +1 (copy) / -1 (flip): 0/1 from the comparison, then 2x - 1
@@ -388,8 +388,11 @@ def simulate_terminal(params, n, count, seed, threads=None):
     max(1, 2**16 // n): step m picks the earlier step floor(u_m * m), so a
     trajectory's steps form a recursive tree, and pointer jumping gives
     every step its sign relative to the first step in a few vectorised
-    rounds (about log2 of the tree height).  A worker holds about 50 bytes
-    per step of one block: about 3 MB for n <= 2**16, 50 n bytes above.
+    rounds (about log2 of the tree height).  A worker allocates its buffers
+    once per chunk and reuses them for every block; it holds 30 bytes per
+    step of one block plus 8 bytes per step of one walk and 8 per
+    trajectory (measured peak 32.5 bytes per step of one block at n = 1e4):
+    about 2 MB for n <= 2**16, 38 n bytes above.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
