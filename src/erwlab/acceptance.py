@@ -297,8 +297,7 @@ def c10_specfun_identities():
     for a, z in ((2.0 / 3.0, 2.0), (0.75, 0.6), (0.75, 1.4)):
         quad = specfun.f_eval(a, z, method="quadrature").value
         errs.append(abs(specfun.f_eval(a, z).value - quad))
-        h = specfun.hyp2f1(0.5, 0.5 + 0.5 / a, 1.5 + 0.5 / a, -1.0 / (z * z))
-        errs.append(abs(z ** (-1.0 - 1.0 / a) / (a + 1.0) * h.value - quad))
+        errs.append(abs(specfun.f_eval(a, z, method="series").value - quad))
     worst = max(errs)
     return worst < 1e-9, f"max abs err {worst:.2e} (tol 1e-9)"
 

@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import QuadratureError, SeriesOverflowError
-from .quadrature import integrate
-from .specfun import gamma_ln, rho_root
+from .errors import SeriesOverflowError
+from .specfun import f_eval, gamma_ln, hyp2f1, rho_root
 
 # m_2 = a/(2a-1) blows up at the diffusive boundary; the artifact refuses
 # to operate closer than this
@@ -44,45 +43,19 @@ def rho(a):
 
 
 def rho_integral(a):
-    """Independent quadrature route to rho:
+    """Independent route to rho through F, without the Gamma function:
 
         rho_a^(1/a) = (1/a) * int_0^inf (1 - 1/sqrt(1+u^2)) u^(-1-1/a) du.
 
-    The u -> 0 endpoint behaves like u^(1-1/a)/2 (integrable but singular)
-    and is summed as a binomial series on (0, 1/2]; the tail is mapped to
-    a finite interval with u = tan(theta).
+    Split at u = 1/2: the part below is 2^(1/a) (2F1(1/2, -1/(2a);
+    1 - 1/(2a); -1/4) - 1) and the part above 2^(1/a) - F(1/2), with F by
+    quadrature (QuadratureError if it fails).
     """
     if not (0.5 < a < 1.0):
         raise ValueError(f"rho_integral requires a in (1/2, 1), got {a!r}")
-    inv_a = 1.0 / a
-    # series part on (0, u0]: sum_j (-1)^(j+1) (1/2)_j /j! * u0^(2j-1/a)/(2j-1/a)
-    u0 = 0.5
-    total = 0.0
-    coef = 0.5
-    j = 1
-    while True:
-        t = coef * u0 ** (2 * j - inv_a) / (2 * j - inv_a)
-        total += t
-        if abs(t) < 1e-18 * abs(total):
-            break
-        coef *= -(0.5 + j) / (j + 1.0)
-        j += 1
-
-    def mid(u):
-        return (1.0 - 1.0 / math.sqrt(1.0 + u * u)) * u ** (-1.0 - inv_a)
-
-    def far(theta):
-        # u = tan(theta); integrand (1-cos theta) tan(theta)^(-1-1/a) sec^2
-        t = math.tan(theta)
-        return (1.0 - math.cos(theta)) * t ** (-1.0 - inv_a) / math.cos(theta) ** 2
-
-    v1, e1 = integrate(mid, u0, 1.0, tol_abs=1e-14, tol_rel=1e-14)
-    v2, e2 = integrate(far, 0.25 * math.pi, 0.5 * math.pi, tol_abs=1e-14, tol_rel=1e-14)
-    total += v1 + v2
-    achieved = e1 + e2
-    if achieved > 1e-9:
-        raise QuadratureError("rho_integral quadrature did not converge", achieved)
-    return (total / a) ** a
+    h = hyp2f1(0.5, -0.5 / a, 1.0 - 0.5 / a, -0.25).value
+    f = f_eval(a, 0.5, method="quadrature").value
+    return (2.0 ** (1.0 / a) * h - f) ** a
 
 
 @dataclass(frozen=True)

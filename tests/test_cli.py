@@ -135,7 +135,7 @@ _SIMULATE_SHA256 = "09e70999b92407ea32d3d9fdcf8d16a7a942331246c341a8e528d22df215
         (["moments", "--a", "0.6667", "--n-max", "400"],
          "817c564871bd83226ad8548b9a936c0f338c2970bad1417135783787ca9fa3b8"),
         (["rho", "--grid", "0.55,0.95,9"],
-         "e6e542365ad3381f4eca6b53e307b14a42552f4e99d59e4574aa944733422f8d"),
+         "54544278c6e4a2914c469bb09084a71af64d9cf03b9a0c0a385d2bcb3686b912"),
         (["limit", "--a", "0.7"],
          "ba15bbc9b2232ef1bb50d5e7e9c235dd736ad49e736a1a2590c686e37b420253"),
         (["dist", "--p", "0.8", "--q", "0.4", "--n-max", "300"],

@@ -117,6 +117,20 @@ class TestRho:
     def test_integral_route_agrees(self, a):
         assert abs(moments.rho(a) - moments.rho_integral(a)) < 1e-8
 
+    def test_integral_route_against_mpmath(self):
+        # 40-digit Gamma-product rho; near a = 1/2 the rounding of
+        # 1 - 1/(2a) in doubles sets the error of every double route
+        import mpmath as mp
+
+        def rel_err(a):
+            with mp.workdps(40):
+                aa = mp.mpf(a)
+                ref = (mp.gamma(0.5 + 0.5 / aa) * mp.gamma(1 - 0.5 / aa) / mp.sqrt(mp.pi)) ** aa
+                return float(abs(moments.rho_integral(a) / ref - 1))
+
+        assert max(rel_err(0.55 + 0.01 * i) for i in range(45)) <= 2e-13
+        assert max(rel_err(0.5 + 10.0**-k) for k in range(2, 7)) <= 1e-11
+
     def test_integral_exceeds_one(self):
         for a in (0.55, 0.7, 0.95):
             assert moments.rho_integral(a) > 1.0
