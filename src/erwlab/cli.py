@@ -195,10 +195,10 @@ def cmd_limit(args):
 
 def cmd_tails(args):
     a = args.a
+    grid = _grid(args.grid) if args.grid else np.linspace(0.5, 4.5, 33)
     ctx = moments.context(a)
     params = walk.ErwParams.from_a(a, q_first=args.q)
     row = walk.row_at(params, args.n)
-    grid = _grid(args.grid) if args.grid else np.linspace(0.5, 4.5, 33)
     density = walk.scaled_density(row, a, grid)
     rows = []
     for x, f in zip(grid.tolist(), density.tolist()):

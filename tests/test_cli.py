@@ -299,6 +299,17 @@ def test_malformed_grid_exits_two(grid, capsys):
     assert "grid must be lo,hi,points" in capsys.readouterr().err
 
 
+def test_tails_checks_grid_before_evolving(monkeypatch, capsys):
+    def no_rows(params, n):
+        raise AssertionError("row evolved before the grid was checked")
+
+    monkeypatch.setattr(walk, "row_at", no_rows)
+    with pytest.raises(SystemExit) as exc:
+        run(["tails", "--a", "0.75", "--n", "20000", "--grid", "1,2"])
+    assert exc.value.code == 2
+    assert "grid must be lo,hi,points" in capsys.readouterr().err
+
+
 def test_bad_thread_env_exits_two(monkeypatch, capsys):
     monkeypatch.setenv("ERWLAB_THREADS", "abc")
     with pytest.raises(SystemExit) as exc:
