@@ -171,16 +171,10 @@ def _rows(p, n_max):
     lo = hi = 1
     for n in range(2, n_max + 1):
         new = np.empty(n + 2)
-        whole = lo == 1 and hi == n - 1
-        # zeros go outside the window; for a whole row (every step before
-        # the first underflow) that is the two pads, set without slicing
-        if whole:
-            new[0] = new[n + 1] = 0.0
-        else:
-            new[:lo] = 0.0
-            new[hi + 2 :] = 0.0
+        new[:lo] = 0.0
+        new[hi + 2 :] = 0.0
         window = _step(prev, new, n - 1, p, ak, c_lo, lo, hi)
-        probs = window if whole else new[1 : n + 1]
+        probs = new[1 : n + 1]
         window /= probs.sum()
         hi += 1
         while new[hi] < _TINY:
