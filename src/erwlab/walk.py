@@ -398,7 +398,11 @@ def simulate_terminal(params, n, count, seed, threads=None):
         )
     seed = int(seed) & 0xFFFFFFFFFFFFFFFF
     # scheduling granularity only: a worker's memory is set by its block
-    # (see _simulate_chunk), not by the chunk; one chunk stays on one thread
+    # (see _simulate_chunk), not by the chunk; one chunk stays on one thread.
+    # A count below one chunk stays whole: split into one share per worker
+    # it gives the same bytes but costs CPU, as each trajectory's stream
+    # reset holds the GIL (n = 200, count 1e5, two threads on 2 vCPUs:
+    # 0.70-0.98 -> 1.44-1.74 s CPU, 0.67-0.96 -> 0.98-1.17 s wall)
     chunk = max(64, min(count, 30_000_000 // max(n, 1)))
     bounds = [(lo, min(lo + chunk, count)) for lo in range(0, count, chunk)]
     with ThreadPoolExecutor(max_workers=min(resolve_threads(threads), len(bounds))) as pool:
