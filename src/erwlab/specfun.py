@@ -2,8 +2,7 @@
 
 Everything here is scalar double-precision with explicit error reporting:
 
-* ``gamma_ln`` (``math.lgamma`` behind a domain check) and ``digamma``
-  (the shifted Bernoulli series, relative error below 1e-13 on (0, 200]);
+* ``gamma_ln`` (``math.lgamma`` behind a domain check);
 * the Gauss hypergeometric series ``hyp2f1`` with the Pfaff transform
   z -> z/(z-1) for arguments left of -1/2;
 * the Mittag-Leffler function E_alpha(z) = sum z^n / Gamma(1+alpha n) and
@@ -59,40 +58,13 @@ class SeriesEval:
 
 
 # ---------------------------------------------------------------------------
-# log-Gamma, digamma
+# log-Gamma
 
 def gamma_ln(x):
     """log Gamma(x) for x > 0."""
     if not (x > 0.0) or not math.isfinite(x):
         raise ValueError(f"gamma_ln requires x > 0, got {x!r}")
     return math.lgamma(x)
-
-
-# Bernoulli B_{2k}/(2k) tail coefficients of the digamma asymptotic series
-_DIGAMMA_TAIL = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-    1.0 / 12.0,
-)
-
-
-def digamma(x):
-    """psi(x) = Gamma'(x)/Gamma(x) for x > 0."""
-    if not (x > 0.0) or not math.isfinite(x):
-        raise ValueError(f"digamma requires x > 0, got {x!r}")
-    acc = 0.0
-    while x < 10.0:
-        acc -= 1.0 / x
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    tail = 0.0
-    for c in reversed(_DIGAMMA_TAIL):
-        tail = (tail + c) * inv2
-    return acc + math.log(x) - 0.5 / x - tail
 
 
 # ---------------------------------------------------------------------------

@@ -34,22 +34,6 @@ class TestGammaLn:
             specfun.gamma_ln(-1.5)
 
 
-class TestDigamma:
-    def test_log2_identity(self):
-        # psi(1) - psi(1/2) = 2 log 2
-        got = specfun.digamma(1.0) - specfun.digamma(0.5)
-        assert_allclose(got, 2.0 * math.log(2.0), rtol=1e-14)
-
-    @pytest.mark.parametrize("x", np.geomspace(1e-2, 180.0, 40))
-    def test_against_scipy(self, x):
-        ref = sp.digamma(x)
-        assert abs(specfun.digamma(float(x)) - ref) <= 1e-13 * max(1.0, abs(ref))
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            specfun.digamma(-0.5)
-
-
 class TestHyp2F1:
     def test_at_zero(self):
         assert specfun.hyp2f1(0.3, 1.7, 2.2, 0.0).value == 1.0
