@@ -103,6 +103,8 @@ def cmd_shape(args):
 
 
 def cmd_simulate(args):
+    if args.bins < 0:
+        raise SystemExit2(f"--bins must be >= 0, got {args.bins}")
     params = _params_from(args)
     samples = walk.simulate_terminal(
         params, args.n, args.count, seed=args.seed, threads=_threads(args.threads)

@@ -310,6 +310,20 @@ def test_tails_checks_grid_before_evolving(monkeypatch, capsys):
     assert "grid must be lo,hi,points" in capsys.readouterr().err
 
 
+def test_simulate_checks_bins_before_simulating(monkeypatch, capsys, tmp_path):
+    def no_samples(*args, **kwargs):
+        raise AssertionError("simulated before --bins was checked")
+
+    monkeypatch.setattr(walk, "simulate_terminal", no_samples)
+    out = tmp_path / "s.csv"
+    with pytest.raises(SystemExit) as exc:
+        run(["simulate", "--p", "0.8", "--n", "10", "--count", "3", "--seed", "1",
+             "--bins", "-4", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--bins" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_thread_env_exits_two(monkeypatch, capsys):
     monkeypatch.setenv("ERWLAB_THREADS", "abc")
     with pytest.raises(SystemExit) as exc:
