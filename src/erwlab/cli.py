@@ -221,27 +221,22 @@ def cmd_tails(args):
     return 0
 
 
+# --fn -> (number of --params, evaluation of (params, z, precision_digits))
+_SPECFUN = {
+    "gamma_ln": (0, lambda p, z, d: {"value": specfun.gamma_ln(z), "method": "lgamma"}),
+    "hyp2f1": (3, lambda p, z, d: specfun.hyp2f1(*p, z).__dict__),
+    "mittag_leffler": (1, lambda p, z, d: specfun.mittag_leffler(*p, z, precision_digits=d).__dict__),
+    "prabhakar": (3, lambda p, z, d: specfun.prabhakar(*p, z, precision_digits=d).__dict__),
+    "f": (1, lambda p, z, d: specfun.f_eval(*p, z).__dict__),
+    "f_inverse": (1, lambda p, z, d: {"value": specfun.f_inverse(*p, z), "method": "bisect-newton"}),
+}
+
+
 def cmd_specfun(args):
-    p = args.params or []
-    try:
-        if args.fn == "gamma_ln":
-            out = {"value": specfun.gamma_ln(args.z), "method": "lgamma"}
-        elif args.fn == "hyp2f1":
-            ev = specfun.hyp2f1(p[0], p[1], p[2], args.z)
-            out = ev.__dict__
-        elif args.fn == "mittag_leffler":
-            ev = specfun.mittag_leffler(p[0], args.z, precision_digits=args.precision_digits)
-            out = ev.__dict__
-        elif args.fn == "prabhakar":
-            ev = specfun.prabhakar(p[0], p[1], p[2], args.z, precision_digits=args.precision_digits)
-            out = ev.__dict__
-        elif args.fn == "f":
-            ev = specfun.f_eval(p[0], args.z)
-            out = ev.__dict__
-        else:  # f_inverse
-            out = {"value": specfun.f_inverse(p[0], args.z), "method": "bisect-newton"}
-    except IndexError:
-        raise SystemExit2(f"--params is too short for {args.fn}")
+    count, evaluate = _SPECFUN[args.fn]
+    if len(args.params) != count:
+        raise SystemExit2(f"--fn {args.fn} takes {count} --params, got {len(args.params)}")
+    out = evaluate(args.params, args.z, args.precision_digits)
     write_json(args.out, dict(out), meta={"command": "specfun", "fn": args.fn, "z": args.z})
     return 0
 
@@ -320,11 +315,10 @@ def build_parser():
     sp.set_defaults(func=cmd_tails)
 
     sp = sub.add_parser("specfun", help="evaluate one special function, JSON output")
-    sp.add_argument("--fn", required=True,
-                    choices=["gamma_ln", "hyp2f1", "mittag_leffler", "prabhakar", "f",
-                             "f_inverse"])
+    sp.add_argument("--fn", required=True, choices=list(_SPECFUN))
     sp.add_argument("--params", type=float, nargs="*", default=[],
-                    help="leading parameters (e.g. alpha beta gamma)")
+                    help="leading parameters: none for gamma_ln, alpha beta gamma for "
+                    "hyp2f1 and prabhakar, alpha for mittag_leffler, a for f and f_inverse")
     sp.add_argument("--z", type=float, required=True)
     sp.add_argument("--precision-digits", type=int, default=0,
                     help="0 = double precision, otherwise decimal digits of the high-precision mode")

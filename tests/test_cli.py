@@ -278,14 +278,16 @@ def test_specfun_each_fn(tmp_path, fn, params, z, call):
     assert float(json.loads(out.read_text())["value"]) == call()
 
 
-def test_usage_errors_exit_two():
+def test_usage_errors_exit_two(capsys):
     for argv in (["dist", "--n-max", "5"],  # neither --a nor --p
                  ["rho", "--a", "0.7", "--grid", "0.55,0.95,5"],  # both
                  ["specfun", "--fn", "hyp2f1", "--params", "0.5", "--z", "0.3"],  # too short
+                 ["specfun", "--fn", "gamma_ln", "--params", "3", "--z", "1"],  # too long
                  ["specfun", "--fn", "digamma", "--z", "2.5"]):  # no longer a choice
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
     with pytest.raises(SystemExit) as exc:
         run(["nope"])
     assert exc.value.code == 2
