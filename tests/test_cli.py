@@ -293,7 +293,8 @@ def test_usage_errors_exit_two(capsys):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("grid", ["1,2", "0.6,0.9,x", "0.6,0.9,4.5", "0.6,0.7,0.8,3"])
+@pytest.mark.parametrize("grid", ["1,2", "0.6,0.9,x", "0.6,0.9,4.5", "0.6,0.7,0.8,3",
+                                  "0.9,0.6,5", "0.6,0.9,1"])
 def test_malformed_grid_exits_two(grid, capsys):
     with pytest.raises(SystemExit) as exc:
         run(["rho", "--grid", grid])

@@ -79,6 +79,9 @@ class TestMomentSequence:
             moments.moment_sequence(1.0, 10)
         with pytest.raises(ValueError):
             moments.moment_sequence(0.7, 1)
+        # m_800 at a = 0.55 is about rho^800 = e^730
+        with pytest.raises(SeriesOverflowError, match="exceeds double range"):
+            moments.moment_sequence(0.55, 800).unscaled(800)
 
 
 class TestLimitMoment:
@@ -100,6 +103,10 @@ class TestLimitMoment:
             moments.limit_moment(2.0 / 3.0, 900)
         # the log-scale variant keeps working there
         assert math.isfinite(moments.limit_moment_ln(2.0 / 3.0, 900))
+
+    def test_domain(self):
+        with pytest.raises(ValueError, match="moment order must be >= 0"):
+            moments.limit_moment_ln(0.7, -1)
 
 
 class TestRho:
@@ -245,6 +252,10 @@ class TestAsymptoticMoment:
         assert math.isfinite(moments.asymptotic_moment_ln(ctx, 3))
         with pytest.raises(ValueError):
             moments.asymptotic_moment_ln(ctx, 3, "second")
+
+    def test_domain(self):
+        with pytest.raises(ValueError, match="needs n >= 1"):
+            moments.asymptotic_moment_ln(moments.context(0.75), 0)
 
 
 class TestHankel:

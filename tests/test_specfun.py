@@ -174,6 +174,14 @@ class TestMittagLeffler:
                 ref = float(mp.nsum(lambda n: mp.mpf(z) ** n / mp.gamma(1 + mp.mpf(alpha) * n), [0, mp.inf]))
             assert abs(got.value - ref) <= max(got.abs_error_estimate, 4e-16 * abs(ref))
 
+    def test_domain(self):
+        for alpha in (0.0, 1.5):
+            with pytest.raises(ValueError, match="alpha in"):
+                specfun.mittag_leffler(alpha, 1.0)
+        for z in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite z"):
+                specfun.mittag_leffler(0.7, z)
+
 
 class TestPrabhakar:
     def test_reduces_to_mittag_leffler(self):
@@ -298,6 +306,19 @@ class TestPrabhakar:
         ]
         assert vals[2] > far[0] > far[1] > 0.0
 
+    def test_domain(self):
+        for params in ((0.0, 1.0, 1.0), (0.5, -1.0, 1.0), (0.5, 1.0, 0.0)):
+            with pytest.raises(ValueError, match="alpha, beta, gamma > 0"):
+                specfun.prabhakar(*params, 1.0)
+            with pytest.raises(ValueError, match="alpha, beta, gamma > 0"):
+                specfun.prabhakar_ln(*params, 1.0)
+        for z in (-math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite z"):
+                specfun.prabhakar(0.5, 1.0, 1.0, z)
+        for z in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="z > 0"):
+                specfun.prabhakar_ln(0.5, 1.0, 1.0, z)
+
 
 class TestFKernel:
     @pytest.mark.parametrize("a", [0.55, 2.0 / 3.0, 0.75, 0.9])
@@ -371,6 +392,8 @@ class TestFKernel:
             specfun.f_eval(0.7, -1.0)
         with pytest.raises(ValueError):
             specfun.f_eval(0.7, 1.0, method="nope")
+        with pytest.raises(ValueError, match="rho_root requires a > 1/2"):
+            specfun.rho_root(0.5)
 
 
 class TestFInverse:

@@ -403,6 +403,8 @@ class TestEvolve:
             walk.ErwParams(p=1.2)
         with pytest.raises(ValueError):
             walk.ErwParams(p=float("nan"))
+        with pytest.raises(ValueError, match="first-step parameter"):
+            walk.ErwParams(p=0.8, q_first=1.5)
 
 
 class TestShape:
@@ -648,3 +650,5 @@ class TestSimulate:
             walk.simulate_terminal(params, 10**6, 10**6, seed=1)
         with pytest.raises(ValueError):
             walk.simulate_terminal(params, 0, 5, seed=1)
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            walk.simulate_terminal(params, 5, 0, seed=1)
