@@ -1,9 +1,10 @@
 """Command-line surface.
 
-Every subcommand writes deterministic CSV/JSON (17-significant-digit
-floats, '#'-prefixed sorted metadata, seeds echoed in headers).  Exit
-codes: 0 success, 1 numeric failure (failing check named on stderr),
-2 usage error (argparse).
+Every subcommand writes deterministic CSV/JSON (CSV floats to 17
+significant digits, JSON floats as their shortest round-trip repr, sorted
+metadata, seeds echoed in headers).  Exit codes: 0 success, 1 numeric
+failure (failing check named on stderr), 2 usage error (argparse, or a
+check made before any work).
 """
 
 import argparse

@@ -1,8 +1,9 @@
 """Deterministic CSV/JSON writers shared by the CLI.
 
-Floats are serialised with 17 significant digits so doubles round-trip
-exactly; metadata lines are '#'-prefixed and key-sorted so identical
-configs produce byte-identical files.
+CSV floats are written with 17 significant digits and JSON floats as
+Python's shortest round-trip repr, so doubles round-trip exactly either
+way; metadata is key-sorted ('#'-prefixed lines in CSV, a "_meta" object
+in JSON) so identical configs produce byte-identical files.
 """
 
 import json
@@ -62,5 +63,5 @@ def write_json(path, obj, meta=None):
     if meta:
         payload["_meta"] = {k: meta[k] for k in sorted(meta)}
     with open_out(path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=fmt)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
