@@ -1,7 +1,10 @@
 import hashlib
 import json
 import math
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,6 +185,22 @@ def test_moments_ratio_tends_to_one(tmp_path):
     _, header, rows = read_csv(out)
     assert header == ["n", "m_scaled", "m_log10", "limit_moment_log10", "asympt_ratio"]
     assert abs(float(rows[-1][4]) - 1.0) < 0.02
+
+
+def test_plot_scripts_read_cli_csv(tmp_path):
+    # without matplotlib each script prints a text fallback; with it, it
+    # writes a PNG next to its CSV in tmp_path
+    moments_csv = tmp_path / "m.csv"
+    hist_csv = tmp_path / "hist.csv"
+    assert run(["moments", "--a", "0.75", "--n-max", "60", "--out", str(moments_csv)]) == 0
+    assert run(["simulate", "--p", "0.9", "--n", "100", "--count", "400", "--seed", "3",
+                "--bins", "12", "--out", str(hist_csv)]) == 0
+    scripts = Path(__file__).resolve().parents[1] / "scripts"
+    for script, csv in (("plot_moment_ratio.py", moments_csv), ("plot_density.py", hist_csv)):
+        done = subprocess.run([sys.executable, str(scripts / script), str(csv)],
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout
 
 
 def test_rho_json(tmp_path):
