@@ -226,10 +226,12 @@ def cmd_tails(args):
 _SPECFUN = {
     "gamma_ln": (0, lambda p, z, d: {"value": specfun.gamma_ln(z), "method": "lgamma"}),
     "hyp2f1": (3, lambda p, z, d: specfun.hyp2f1(*p, z).__dict__),
-    "mittag_leffler": (1, lambda p, z, d: specfun.mittag_leffler(*p, z, precision_digits=d).__dict__),
+    "mittag_leffler": (
+        1, lambda p, z, d: specfun.mittag_leffler(*p, z, precision_digits=d).__dict__),
     "prabhakar": (3, lambda p, z, d: specfun.prabhakar(*p, z, precision_digits=d).__dict__),
     "f": (1, lambda p, z, d: specfun.f_eval(*p, z).__dict__),
-    "f_inverse": (1, lambda p, z, d: {"value": specfun.f_inverse(*p, z), "method": "bisect-newton"}),
+    "f_inverse": (
+        1, lambda p, z, d: {"value": specfun.f_inverse(*p, z), "method": "bisect-newton"}),
 }
 
 
@@ -238,7 +240,7 @@ def cmd_specfun(args):
     if len(args.params) != count:
         raise SystemExit2(f"--fn {args.fn} takes {count} --params, got {len(args.params)}")
     out = evaluate(args.params, args.z, args.precision_digits)
-    write_json(args.out, dict(out), meta={"command": "specfun", "fn": args.fn, "z": args.z})
+    write_json(args.out, out, meta={"command": "specfun", "fn": args.fn, "z": args.z})
     return 0
 
 
