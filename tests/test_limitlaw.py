@@ -2,57 +2,14 @@ import dataclasses
 import itertools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import oracles
 from erwlab import acceptance, limitlaw, moments, walk
 from erwlab.errors import CancellationError, ConvergenceError, SeriesOverflowError
-
-
-def moments_hp_reference(aa, rho_mp, n_max):
-    """rho-scaled moments by the unpaired convolution, one fsum over all
-    n - 1 products c_i m_i m_{n-i}: the former loop of
-    limitlaw._psi_mgf_hp, kept as the oracle for its paired form."""
-    import mpmath as mp
-
-    mt = [mp.mpf(1), 1 / rho_mp]
-    c = [mp.mpf(1), aa]
-    for n in range(2, n_max + 1):
-        cn = mp.mpf(1) if n % 2 == 0 else aa
-        s = mp.fsum(c[i] * mt[i] * mt[n - i] for i in range(1, n))
-        mt.append(s / (n * aa - cn))
-        c.append(cn)
-    return mt
-
-
-def psi_mgf_hp_reference(a, r, digits):
-    """MgfValue of the mpmath mode from every term up to n_max = 3 peak + 256,
-    one fsum per sum: the former full-length loop of limitlaw._psi_mgf_hp,
-    kept as the oracle for its cut form."""
-    import mpmath as mp
-
-    peak = (moments.rho(a) * abs(r)) ** (1.0 / a) / a if r != 0.0 else 8.0
-    n_max = int(3.0 * peak + 256)
-    with mp.workdps(digits + 10):
-        aa = mp.mpf(a)
-        rho_mp = ((mp.gamma(mp.mpf(1) / 2 + 1 / (2 * aa)) * mp.gamma(1 - 1 / (2 * aa)))
-                  / mp.sqrt(mp.pi)) ** aa
-        mt = list(itertools.islice(limitlaw._moments_hp(aa, rho_mp), n_max + 1))
-        rr = mp.mpf(r)
-        b = [mt[n] / mp.gamma(1 + aa * n) for n in range(n_max + 1)]
-        psi = mp.fsum(b[n] * (rho_mp * rr) ** n for n in range(n_max + 1))
-        w0 = mp.fsum(b[n] * rr**n for n in range(n_max + 1))
-        w1 = mp.fsum(n * b[n] * rr ** (n - 1) for n in range(1, n_max + 1))
-        w2 = mp.fsum(n * (n - 1) * b[n] * rr ** (n - 2) for n in range(2, n_max + 1))
-        xi = -w1 / w0
-        eta2 = w2 / w0 - xi * xi
-        eta = mp.sqrt(eta2) if eta2 > 0 else mp.mpf(0)
-        tol = mp.mpf(10) ** (-digits + 2)
-        return limitlaw.MgfValue(
-            r=r, psi=float(psi), omega=float(w0), xi=float(xi), eta=float(eta),
-            error_estimate=float(abs(psi) * tol), omega_error_estimate=float(abs(w0) * tol),
-        )
 
 
 def _hp_grid():
@@ -250,7 +207,7 @@ class TestPsiMgf:
         # every field equal: the mpmath mode sums enough terms to round
         # to the same doubles as the full 3 peak + 256
         got = limitlaw.psi_mgf(a, r, precision_digits=digits)
-        assert got == psi_mgf_hp_reference(a, r, digits)
+        assert got == oracles.psi_mgf_hp_reference(a, r, digits)
 
     @pytest.mark.parametrize("a", [0.75, 0.85])
     def test_hp_rounds_to_pinned_40_digits(self, a):
@@ -272,13 +229,11 @@ class TestPsiMgf:
 
     @pytest.mark.parametrize("a, digits, n_max", [(0.75, 30, 300), (0.55, 40, 400), (0.9, 50, 257)])
     def test_hp_moments_match_unpaired_loop(self, a, digits, n_max):
-        import mpmath as mp
-
         with mp.workdps(digits + 10):
             aa = mp.mpf(a)
             rho_mp = mp.mpf(moments.rho(a))
             got = list(itertools.islice(limitlaw._moments_hp(aa, rho_mp), n_max + 1))
-            want = moments_hp_reference(aa, rho_mp, n_max)
+            want = oracles.moments_hp_reference(aa, rho_mp, n_max)
             assert len(got) == len(want) == n_max + 1
             worst = max(abs(g - w) / abs(w) for g, w in zip(got, want))
         assert worst < 1e-35

@@ -1,30 +1,17 @@
 import math
 import struct
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy import special as sp
 
+import oracles
 from erwlab import moments
 from erwlab.errors import SeriesOverflowError
 
 # frozen from the 40-digit Gamma-product and integral oracles (they agree)
 RHO_TWO_THIRDS = 1.5092162810250505
-
-
-def moment_sequence_raw(a, n_max):
-    """Unscaled recurrence in plain doubles (overflows factorially; the
-    dual route for the scaling-identity tests, usable to n ~ 50)."""
-    m = np.empty(n_max + 1)
-    m[0] = 1.0
-    m[1] = 1.0
-    c = np.where(np.arange(n_max + 1) % 2 == 0, 1.0, a)
-    cm = c * m
-    for n in range(2, n_max + 1):
-        m[n] = np.dot(cm[1:n], m[n - 1:0:-1]) / (n * a - c[n])
-        cm[n] = c[n] * m[n]
-    return m
 
 
 class TestMomentSequence:
@@ -49,9 +36,11 @@ class TestMomentSequence:
             assert abs(t.unscaled(n) - 1.0) < 1e-6
 
     def test_scaling_identity_against_raw(self):
+        # with rho = 1 the hp oracle gives the unscaled moments m_n
         for a in (0.55, 2.0 / 3.0, 0.9):
             t = moments.moment_sequence(a, 50)
-            raw = moment_sequence_raw(a, 50)
+            with mp.workdps(30):
+                raw = [float(m) for m in oracles.moments_hp_reference(mp.mpf(a), mp.mpf(1), 50)]
             got = t.scaled * t.rho ** np.arange(51)
             assert_allclose(got, raw, rtol=1e-12)
 
@@ -89,9 +78,9 @@ class TestLimitMoment:
         assert moments.limit_moment(0.7, 0) == 1.0
 
     def test_first_moment(self):
-        # E[L] = 1/Gamma(1+a); scipy Gamma as the independent oracle
+        # E[L] = 1/Gamma(1+a); mpmath's Gamma as the independent oracle
         for a in (0.6, 0.8):
-            assert_allclose(moments.limit_moment(a, 1), 1.0 / sp.gamma(1.0 + a), rtol=1e-13)
+            assert_allclose(moments.limit_moment(a, 1), float(1 / mp.gamma(1.0 + a)), rtol=1e-13)
 
     def test_second_moment_closed_form(self):
         # a = 3/4: E[L^2] = 2 m2/Gamma(2.5) = 3/(3 sqrt(pi)/4)
@@ -113,12 +102,9 @@ class TestRho:
     def test_frozen_value(self):
         assert_allclose(moments.rho(2.0 / 3.0), RHO_TWO_THIRDS, rtol=1e-13)
 
-    def test_against_scipy_gammaln(self):
+    def test_against_gamma_product(self):
         for a in (0.51, 0.75, 2.0, 10.0):
-            ref = math.exp(
-                a * (sp.gammaln(0.5 + 0.5 / a) + sp.gammaln(1.0 - 0.5 / a) - 0.5 * math.log(math.pi))
-            )
-            assert_allclose(moments.rho(a), ref, rtol=1e-13)
+            assert_allclose(moments.rho(a), float(oracles.rho(a)), rtol=1e-13)
 
     @pytest.mark.parametrize("a", [0.55, 0.60, 2.0 / 3.0, 0.75, 0.85, 0.95])
     def test_integral_route_agrees(self, a):
@@ -127,13 +113,9 @@ class TestRho:
     def test_integral_route_against_mpmath(self):
         # 40-digit Gamma-product rho; near a = 1/2 the rounding of
         # 1 - 1/(2a) in doubles sets the error of every double route
-        import mpmath as mp
-
         def rel_err(a):
             with mp.workdps(40):
-                aa = mp.mpf(a)
-                ref = (mp.gamma(0.5 + 0.5 / aa) * mp.gamma(1 - 0.5 / aa) / mp.sqrt(mp.pi)) ** aa
-                return float(abs(moments.rho_integral(a) / ref - 1))
+                return float(abs(moments.rho_integral(a) / oracles.rho(a) - 1))
 
         assert max(rel_err(0.55 + 0.01 * i) for i in range(45)) <= 2e-13
         assert max(rel_err(0.5 + 10.0**-k) for k in range(2, 7)) <= 1e-11
@@ -178,9 +160,9 @@ class TestContext:
         assert_allclose(ctx.delta, 1.0 / 7.0, rtol=0, atol=0)
 
     def test_c_pos_value(self):
-        # recomputed with scipy's gammaln as the independent route
+        # recomputed from the 40-digit Gamma-product rho
         a = 0.75
-        r = math.exp(a * (sp.gammaln(0.5 + 0.5 / a) + sp.gammaln(1.0 - 0.5 / a) - 0.5 * math.log(math.pi)))
+        r = float(oracles.rho(a))
         ref = math.sqrt(2.0 / (math.pi * (1 - a * a) * (1 + a))) * (a / r) ** (1.0 / (2 * (1 - a)))
         ctx = moments.context(a)
         assert_allclose(ctx.c_pos, ref, rtol=1e-12)

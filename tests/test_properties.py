@@ -29,7 +29,7 @@ from numpy.testing import assert_allclose  # noqa: E402
 
 from erwlab import emit, limitlaw, moments, specfun, walk  # noqa: E402
 from erwlab.errors import ConvergenceError, ErwLabError  # noqa: E402
-from test_walk import assert_same_report, check_shape_reference  # noqa: E402
+from oracles import assert_same_report, check_shape_reference  # noqa: E402
 
 deterministic = settings(derandomize=True, database=None, deadline=None)
 

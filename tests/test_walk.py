@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -8,8 +7,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy import special as sp
 
+import oracles
 from erwlab import walk
 
 
@@ -59,52 +58,6 @@ def _simulate_chunk_reference(p, q_first, n, seed, lo, hi):
         x = flat[k * count + cols]
         steps[m] = np.where(u_flip[m] < p, x, -x)
     return steps.sum(axis=0, dtype=np.int64)
-
-
-def check_shape_reference(row):
-    """Shape report by flag-and-break loops over the row, with relative
-    tolerance 1e-12 on every comparison: the former walk.check_shape,
-    kept as the oracle for its whole-row form."""
-    u = np.asarray(row.probs, dtype=float)
-    n = len(u)
-    if n == 1:
-        return walk.ShapeReport(True, 1, 1, True, None)
-
-    diffs = u[1:] - u[:-1]
-    tol = 1e-12 * np.maximum(np.abs(u[1:]), np.abs(u[:-1]))
-    seen_drop = False
-    unimodal = True
-    for d, t in zip(diffs, tol):
-        if d < -t:
-            seen_drop = True
-        elif d > t and seen_drop:
-            unimodal = False
-            break
-
-    peak = u.max()
-    plateau = np.flatnonzero(u >= peak * (1.0 - 1e-12))
-    mode_lo = int(plateau[0]) + 1
-    mode_hi = int(plateau[-1]) + 1
-
-    log_concave = True
-    first_violation = None
-    # boundary convention u_0 = u_{n+1} = 0 makes k = 1 and k = n automatic
-    for i in range(1, n - 1):
-        lhs = u[i] * u[i]
-        rhs = u[i - 1] * u[i + 1]
-        if lhs < rhs - 1e-12 * max(lhs, rhs):
-            log_concave = False
-            first_violation = i + 1
-            break
-    return walk.ShapeReport(unimodal, mode_lo, mode_hi, log_concave, first_violation)
-
-
-def assert_same_report(got, want):
-    # field by field and type by type: the shape CSV writes bool as 0/1
-    # and an int as its digits, so a numpy scalar would change its bytes
-    for field in dataclasses.fields(walk.ShapeReport):
-        g, w = getattr(got, field.name), getattr(want, field.name)
-        assert type(g) is type(w) and g == w, (field.name, g, w)
 
 
 def evolve_q_exact(p, n_max):
@@ -159,14 +112,6 @@ def evolution_drift(row, p):
     ak = (2.0 * p - 1.0) * np.arange(n + 2)
     nxt = walk._step(prev, np.zeros(n + 3), n, p, ak, np.empty(n + 1), 1, n)
     return abs(nxt.sum() - 1.0)
-
-
-def exact_mean(params, n):
-    """E[S_n] by the product recursion E[S_{m+1}] = (1 + a/m) E[S_m]."""
-    mean = 2.0 * params.q_first - 1.0
-    for m in range(1, n):
-        mean *= 1.0 + params.a / m
-    return mean
 
 
 class TestEvolve:
@@ -241,20 +186,13 @@ class TestEvolve:
 
     @pytest.mark.parametrize("p", [0.8, 0.875])
     def test_moments_past_underflow(self, p):
-        # the recurrences of Bercu, J. Phys. A 51 (2018) 015201, in 30 digits:
-        # E[S_n] = Gamma(n + a) / (Gamma(n) Gamma(1 + a)) and
-        # E[S_{k+1}^2] = (1 + 2a/k) E[S_k^2] + 1 with E[S_1^2] = 1; a = 2p - 1
-        # is exact in binary, as the walk computes it
+        # Bercu's closed forms in 30 digits; a = 2p - 1 is exact in binary,
+        # as the walk computes it
         n = 20_000
-        row = walk.row_at(walk.ErwParams(p=p), n)
+        params = walk.ErwParams(p=p)
+        row = walk.row_at(params, n)
         s = row.support().astype(float)
-        with mp.workdps(30):
-            a = 2 * mp.mpf(p) - 1
-            mean = mp.gamma(n + a) / (mp.gamma(n) * mp.gamma(1 + a))
-            second = mp.mpf(1)
-            for k in range(1, n):
-                second = (1 + 2 * a / k) * second + 1
-            mean, second = float(mean), float(second)
+        mean, second = map(float, oracles.walk_moments(params.a, n))
         assert abs(float(np.dot(s, row.probs)) / mean - 1.0) < 1e-13
         assert abs(float(np.dot(s * s, row.probs)) / second - 1.0) < 1e-13
 
@@ -264,7 +202,7 @@ class TestEvolve:
         rows = walk.evolve_distribution(params, 300)
         row = rows[-1]
         got = float(np.dot(row.support(), row.probs))
-        assert abs(got - exact_mean(params, 300)) < 1e-10
+        assert abs(got - float(oracles.walk_moments(params.a, 300, params.q_first)[0])) < 1e-10
 
     def test_mixture_row_layout(self):
         params = walk.ErwParams(p=0.8, q_first=0.6)
@@ -450,11 +388,11 @@ class TestShape:
         # threshold, then the c03-style a-scan over rows 1..50
         for p in (0.05, 0.3, 0.5, 0.6, 0.75, 0.8, 0.9, 0.95):
             for row in walk.iter_rows(walk.ErwParams(p=p, q_first=q_first), 300):
-                assert_same_report(walk.check_shape(row), check_shape_reference(row))
+                oracles.assert_same_report(walk.check_shape(row), oracles.check_shape_reference(row))
         for a in np.arange(0.5, 0.7501, 1e-2):
             params = walk.ErwParams(p=(1.0 + float(a)) / 2.0, q_first=q_first)
             for row in walk.iter_rows(params, 50):
-                assert_same_report(walk.check_shape(row), check_shape_reference(row))
+                oracles.assert_same_report(walk.check_shape(row), oracles.check_shape_reference(row))
 
     def test_n3_margin_flips_at_root(self):
         a0 = walk.log_concavity_root(0)
@@ -634,7 +572,7 @@ class TestSimulate:
         a = 0.8
         params = walk.ErwParams.from_a(a)
         samples = walk.simulate_terminal(params, 2000, 20_000, seed=7)
-        target = 1.0 / sp.gamma(1.0 + a)
+        target = float(1 / mp.gamma(1.0 + a))
         se = samples.std(ddof=1) / math.sqrt(len(samples))
         assert abs(samples.mean() - target) < 3.0 * se
 
