@@ -298,9 +298,13 @@ def _psi_mgf_hp(a, r, digits, n_max):
         eta2 = w2 / w0 - xi * xi
         eta = mp.sqrt(eta2) if eta2 > 0 else mp.mpf(0)
         tol = mp.mpf(10) ** (-digits + 2)
+        # each bar is the sum's own |sum| 10^(2-d) plus the rounding of the
+        # sum to the returned double, half an ulp, and is rounded up
+        psi_d, w0_d = float(psi), float(w0)
         return MgfValue(
-            r=r, psi=float(psi), omega=float(w0), xi=float(xi), eta=float(eta),
-            error_estimate=float(abs(psi) * tol), omega_error_estimate=float(abs(w0) * tol),
+            r=r, psi=psi_d, omega=w0_d, xi=float(xi), eta=float(eta),
+            error_estimate=math.nextafter(float(abs(psi) * tol) + 0.5 * math.ulp(psi_d), math.inf),
+            omega_error_estimate=math.nextafter(float(abs(w0) * tol) + 0.5 * math.ulp(w0_d), math.inf),
         )
 
 

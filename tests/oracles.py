@@ -3,6 +3,7 @@ mpmath reference is unrounded, at REF_DIGITS digits unless it says otherwise."""
 
 import dataclasses
 import itertools
+import math
 
 import mpmath as mp
 import numpy as np
@@ -128,10 +129,10 @@ def moments_hp_reference(aa, rho_mp, n_max):
     return mt
 
 
-def psi_mgf_hp_reference(a, r, digits):
-    """MgfValue of the mpmath mode from every term up to n_max = 3 peak + 256,
-    one fsum per sum: the former full-length loop of limitlaw._psi_mgf_hp,
-    kept as the oracle for its cut form."""
+def psi_mgf_sums(a, r, digits):
+    """Psi, omega, omega' and omega'' at r, unrounded at digits + 10 digits, from
+    every term up to n_max = 3 peak + 256, one fsum per sum: the former
+    full-length loop of limitlaw._psi_mgf_hp, kept as the oracle for its cut form."""
     peak = (moments.rho(a) * abs(r)) ** (1.0 / a) / a if r != 0.0 else 8.0
     n_max = int(3.0 * peak + 256)
     with mp.workdps(digits + 10):
@@ -144,11 +145,20 @@ def psi_mgf_hp_reference(a, r, digits):
         w0 = mp.fsum(b[n] * rr**n for n in range(n_max + 1))
         w1 = mp.fsum(n * b[n] * rr ** (n - 1) for n in range(1, n_max + 1))
         w2 = mp.fsum(n * (n - 1) * b[n] * rr ** (n - 2) for n in range(2, n_max + 1))
+    return psi, w0, w1, w2
+
+
+def psi_mgf_hp_reference(a, r, digits):
+    """MgfValue of the mpmath mode from psi_mgf_sums."""
+    psi, w0, w1, w2 = psi_mgf_sums(a, r, digits)
+    with mp.workdps(digits + 10):
         xi = -w1 / w0
         eta2 = w2 / w0 - xi * xi
         eta = mp.sqrt(eta2) if eta2 > 0 else mp.mpf(0)
         tol = mp.mpf(10) ** (-digits + 2)
+        psi_d, w0_d = float(psi), float(w0)
         return limitlaw.MgfValue(
-            r=r, psi=float(psi), omega=float(w0), xi=float(xi), eta=float(eta),
-            error_estimate=float(abs(psi) * tol), omega_error_estimate=float(abs(w0) * tol),
+            r=r, psi=psi_d, omega=w0_d, xi=float(xi), eta=float(eta),
+            error_estimate=math.nextafter(float(abs(psi) * tol) + 0.5 * math.ulp(psi_d), math.inf),
+            omega_error_estimate=math.nextafter(float(abs(w0) * tol) + 0.5 * math.ulp(w0_d), math.inf),
         )
