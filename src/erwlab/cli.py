@@ -222,23 +222,28 @@ def cmd_tails(args):
     return 0
 
 
-# --fn -> (number of --params, evaluation of (params, z, precision_digits))
+# --fn -> (number of --params, whether it has a high-precision mode,
+# evaluation of (params, z, precision_digits))
 _SPECFUN = {
-    "gamma_ln": (0, lambda p, z, d: {"value": specfun.gamma_ln(z), "method": "lgamma"}),
-    "hyp2f1": (3, lambda p, z, d: specfun.hyp2f1(*p, z).__dict__),
+    "gamma_ln": (0, False, lambda p, z, d: {"value": specfun.gamma_ln(z), "method": "lgamma"}),
+    "hyp2f1": (3, False, lambda p, z, d: specfun.hyp2f1(*p, z).__dict__),
     "mittag_leffler": (
-        1, lambda p, z, d: specfun.mittag_leffler(*p, z, precision_digits=d).__dict__),
-    "prabhakar": (3, lambda p, z, d: specfun.prabhakar(*p, z, precision_digits=d).__dict__),
-    "f": (1, lambda p, z, d: specfun.f_eval(*p, z).__dict__),
+        1, True, lambda p, z, d: specfun.mittag_leffler(*p, z, precision_digits=d).__dict__),
+    "prabhakar": (3, True, lambda p, z, d: specfun.prabhakar(*p, z, precision_digits=d).__dict__),
+    "f": (1, False, lambda p, z, d: specfun.f_eval(*p, z).__dict__),
     "f_inverse": (
-        1, lambda p, z, d: {"value": specfun.f_inverse(*p, z), "method": "bisect-newton"}),
+        1, False, lambda p, z, d: {"value": specfun.f_inverse(*p, z), "method": "bisect-newton"}),
 }
 
 
 def cmd_specfun(args):
-    count, evaluate = _SPECFUN[args.fn]
+    count, has_hp, evaluate = _SPECFUN[args.fn]
     if len(args.params) != count:
         raise SystemExit2(f"--fn {args.fn} takes {count} --params, got {len(args.params)}")
+    if args.precision_digits < 0:
+        raise SystemExit2(f"--precision-digits must be >= 0, got {args.precision_digits}")
+    if args.precision_digits and not has_hp:
+        raise SystemExit2(f"--fn {args.fn} has no high-precision mode: --precision-digits must be 0")
     out = evaluate(args.params, args.z, args.precision_digits)
     write_json(args.out, out, meta={"command": "specfun", "fn": args.fn, "z": args.z})
     return 0
@@ -324,7 +329,8 @@ def build_parser():
                     "hyp2f1 and prabhakar, alpha for mittag_leffler, a for f and f_inverse")
     sp.add_argument("--z", type=float, required=True)
     sp.add_argument("--precision-digits", type=int, default=0,
-                    help="0 = double precision, otherwise decimal digits of the high-precision mode")
+                    help="0 = double precision, otherwise decimal digits of the high-precision "
+                    "mode (mittag_leffler and prabhakar only)")
     sp.add_argument("--out", default="-")
     sp.set_defaults(func=cmd_specfun)
 

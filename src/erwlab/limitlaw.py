@@ -210,10 +210,13 @@ def psi_mgf(a, r, precision_digits=0):
     rho_a in double precision and 200 rho_a in the mpmath mode (cost grows
     quadratically with the series length), CancellationError beyond;
     there Psi and omega must each keep their own cancellation loss within
-    1e-6 of their own value.  A NaN r raises ValueError up front.
+    1e-6 of their own value.  A NaN r or a negative precision_digits raises
+    ValueError up front.
     """
     if math.isnan(r):
         raise ValueError("psi_mgf requires a number r, got nan")
+    if precision_digits < 0:
+        raise ValueError(f"psi_mgf requires precision_digits >= 0, got {precision_digits}")
     rh = rho(a)
     if r < 0.0:
         cap = (_NEG_CAP_HP if precision_digits > 0 else _NEG_CAP_DOUBLE) * rh

@@ -178,6 +178,8 @@ def mittag_leffler(alpha, z, precision_digits=0):
         raise ValueError("mittag_leffler requires alpha in (0, 1]")
     if not math.isfinite(z):
         raise ValueError("mittag_leffler requires finite z")
+    if precision_digits < 0:
+        raise ValueError(f"mittag_leffler requires precision_digits >= 0, got {precision_digits}")
     if precision_digits > 0:
         return _prabhakar_hp(alpha, 1.0, 1.0, z, precision_digits)
 
@@ -203,6 +205,8 @@ def prabhakar(alpha, beta, gamma_p, z, precision_digits=0):
         raise ValueError("prabhakar requires alpha, beta, gamma > 0")
     if not math.isfinite(z):
         raise ValueError("prabhakar requires finite z")
+    if precision_digits < 0:
+        raise ValueError(f"prabhakar requires precision_digits >= 0, got {precision_digits}")
     if precision_digits > 0:
         return _prabhakar_hp(alpha, beta, gamma_p, z, precision_digits)
     first = math.exp(-gamma_ln(beta))

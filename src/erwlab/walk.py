@@ -281,15 +281,22 @@ def scaled_density(row, a, x):
 
 
 def resolve_threads(threads=None):
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("ERWLAB_THREADS")
-    if env:
+    """threads, else ERWLAB_THREADS, else the CPU count up to 4; ValueError
+    for a count below 1 or an ERWLAB_THREADS that is not an integer."""
+    what = "threads"
+    if threads is None:
+        env = os.environ.get("ERWLAB_THREADS")
+        if not env:
+            return min(4, os.cpu_count() or 1)
+        what = "ERWLAB_THREADS"
         try:
-            return max(1, int(env))
+            threads = int(env)
         except ValueError:
             raise ValueError(f"ERWLAB_THREADS must be an integer, got {env!r}") from None
-    return min(4, os.cpu_count() or 1)
+    threads = int(threads)
+    if threads < 1:
+        raise ValueError(f"{what} must be >= 1, got {threads}")
+    return threads
 
 
 def _simulate_chunk(p, q_first, n, seed, lo, hi):

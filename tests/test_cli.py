@@ -302,7 +302,15 @@ def test_usage_errors_exit_two(capsys):
                  ["rho", "--a", "0.7", "--grid", "0.55,0.95,5"],  # both
                  ["specfun", "--fn", "hyp2f1", "--params", "0.5", "--z", "0.3"],  # too short
                  ["specfun", "--fn", "gamma_ln", "--params", "3", "--z", "1"],  # too long
-                 ["specfun", "--fn", "digamma", "--z", "2.5"]):  # no longer a choice
+                 ["specfun", "--fn", "digamma", "--z", "2.5"],  # no longer a choice
+                 ["specfun", "--fn", "mittag_leffler", "--params", "0.5", "--z", "3",
+                  "--precision-digits", "-5"],
+                 # no high-precision mode
+                 *(["specfun", "--fn", fn, "--params", *params, "--z", "3", "--precision-digits", "30"]
+                   for fn, params in (("gamma_ln", []), ("hyp2f1", ["0.5", "-0.75", "0.25"]),
+                                      ("f", ["0.7"]), ("f_inverse", ["0.7"]))),
+                 ["simulate", "--p", "0.9", "--n", "10", "--count", "5", "--seed", "1",
+                  "--threads", "0"]):
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 2
@@ -347,14 +355,15 @@ def test_simulate_checks_bins_before_simulating(monkeypatch, capsys, tmp_path):
 
 
 def test_bad_thread_env_exits_two(monkeypatch, capsys):
-    monkeypatch.setenv("ERWLAB_THREADS", "abc")
-    with pytest.raises(SystemExit) as exc:
-        run(["simulate", "--p", "0.9", "--n", "10", "--count", "5", "--seed", "1"])
-    assert exc.value.code == 2
-    assert "ERWLAB_THREADS" in capsys.readouterr().err
-    with pytest.raises(SystemExit) as exc:
-        run(["check"])
-    assert exc.value.code == 2
+    for env in ("abc", "-3"):
+        monkeypatch.setenv("ERWLAB_THREADS", env)
+        with pytest.raises(SystemExit) as exc:
+            run(["simulate", "--p", "0.9", "--n", "10", "--count", "5", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "ERWLAB_THREADS" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            run(["check"])
+        assert exc.value.code == 2
 
 
 def test_numeric_failure_exits_one(capsys):

@@ -248,6 +248,10 @@ class TestPsiMgf:
         with pytest.raises(ValueError, match="psi_mgf"):
             limitlaw.psi_mgf(0.75, math.nan, precision_digits=digits)
 
+    def test_negative_digits_refused(self):
+        with pytest.raises(ValueError, match="psi_mgf requires precision_digits >= 0"):
+            limitlaw.psi_mgf(0.75, 1.0, precision_digits=-1)
+
     @pytest.mark.parametrize("a", [0.55, 0.75, 0.9])
     def test_overflow_band_and_fast_refusal(self, a, monkeypatch):
         # Psi's series peaks at about exp(u), u = (rho |r|)^(1/a): it is a

@@ -167,6 +167,8 @@ class TestMittagLeffler:
         for z in (math.inf, math.nan):
             with pytest.raises(ValueError, match="finite z"):
                 specfun.mittag_leffler(0.7, z)
+        with pytest.raises(ValueError, match="mittag_leffler requires precision_digits >= 0"):
+            specfun.mittag_leffler(0.7, 1.0, precision_digits=-1)
 
 
 class TestPrabhakar:
@@ -294,6 +296,8 @@ class TestPrabhakar:
         for z in (-math.inf, math.nan):
             with pytest.raises(ValueError, match="finite z"):
                 specfun.prabhakar(0.5, 1.0, 1.0, z)
+        with pytest.raises(ValueError, match="prabhakar requires precision_digits >= 0"):
+            specfun.prabhakar(0.5, 1.0, 1.0, 1.0, precision_digits=-1)
         for z in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError, match="z > 0"):
                 specfun.prabhakar_ln(0.5, 1.0, 1.0, z)
