@@ -10,7 +10,7 @@ only from about n = 1e4.
 
 import dataclasses
 
-from erwlab import acceptance, limitlaw
+from erwlab import acceptance, limitlaw, walk
 
 
 def _criterion_test(name, crit):
@@ -26,6 +26,30 @@ def _criterion_test(name, crit):
 # function cNN_topic, so the test names stay those of the criteria
 for _name, _crit in acceptance.CRITERIA:
     globals()["test_criterion_" + _crit.__name__[1:]] = _criterion_test(_name, _crit)
+
+
+def test_run_all_runs_each_criterion_in_order(monkeypatch):
+    stubs = (("1 stub", lambda: (True, "fine")), ("2 stub", lambda: (False, "broken")))
+    monkeypatch.setattr(acceptance, "CRITERIA", stubs)
+    results = acceptance.run_all()
+    assert [(r.name, r.passed, r.detail) for r in results] == [
+        ("1 stub", True, "fine"), ("2 stub", False, "broken")]
+    assert all(r.seconds >= 0.0 for r in results)
+
+
+def test_c03_row_not_unimodal_fails_the_verdict(monkeypatch):
+    # the first such row ends the scan of its p: row 1 at each of the 8 p,
+    # then the two n = 3 rows of the log-concavity flip
+    seen = []
+
+    def not_unimodal(row):
+        seen.append(row.n)
+        return walk.ShapeReport(False, 1, 1, True, None)
+
+    monkeypatch.setattr(walk, "check_shape", not_unimodal)
+    passed, detail = acceptance.c03_shape_theorems()
+    assert not passed and detail.startswith("unimodal(all n<=500)=False")
+    assert seen == [1] * 8 + [3, 3]
 
 
 def test_c08a_unequal_stretch_fails_the_verdict(monkeypatch):

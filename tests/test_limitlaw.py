@@ -248,6 +248,19 @@ class TestPsiMgf:
         with pytest.raises(ValueError, match="psi_mgf"):
             limitlaw.psi_mgf(0.75, math.nan, precision_digits=digits)
 
+    def test_eta_squared_clamp_and_refusal(self, monkeypatch):
+        # omega''/omega - xi^2 below 0 within its error budget reads eta = 0,
+        # beyond it raises; the stand-in sums are w0 = 1, w1 = 0, w2 = eta^2
+        # with a loss of 1e-16
+        def sums(eta2):
+            monkeypatch.setattr(limitlaw, "_omega_sums", lambda *args: (1.0, 0.0, eta2, 0.0, 1e-16))
+
+        sums(-1e-18)
+        assert limitlaw.psi_mgf(0.75, 1.0).eta == 0.0
+        sums(-1e-3)
+        with pytest.raises(CancellationError, match="eta\\^2 = -1.000e-03 is negative"):
+            limitlaw.psi_mgf(0.75, 1.0)
+
     def test_negative_digits_refused(self):
         with pytest.raises(ValueError, match="psi_mgf requires precision_digits >= 0"):
             limitlaw.psi_mgf(0.75, 1.0, precision_digits=-1)

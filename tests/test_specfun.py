@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import time
@@ -9,7 +10,8 @@ from numpy.testing import assert_allclose
 
 import oracles
 from erwlab import specfun
-from erwlab.errors import CancellationError, ConvergenceError, SeriesOverflowError
+from erwlab.errors import (
+    CancellationError, ConsistencyError, ConvergenceError, SeriesOverflowError)
 
 
 class TestGammaLn:
@@ -327,6 +329,18 @@ class TestFKernel:
         ]
         assert max(vals) - min(vals) < 1e-9
 
+    def test_auto_refuses_disagreeing_regimes(self, monkeypatch):
+        # on the overlap band [1.02, 1.2] a gap beyond both bars is refused
+        series = specfun._f_series
+
+        def off(a, z):
+            got = series(a, z)
+            return dataclasses.replace(got, value=got.value * (1.0 + 1e-9))
+
+        monkeypatch.setattr(specfun, "_f_series", off)
+        with pytest.raises(ConsistencyError, match="F regimes disagree at a=0.7, z=1.15"):
+            specfun.f_eval(0.7, 1.15)
+
     @pytest.mark.parametrize("a", [0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95])
     def test_series_against_mpmath(self, a):
         worst = 0.0
@@ -426,6 +440,18 @@ class TestFInverse:
         a, y = 0.5003, 10.0**0.5
         x = specfun.f_inverse(a, y)
         assert abs(specfun.f_eval(a, x).value - y) <= 1e-11 * max(1.0, y)
+
+    def test_refuses_a_best_point_beyond_the_contract(self, monkeypatch):
+        # with F known to 1e-6 only, every point stays 3.3e-7 or more from y
+        f_eval = specfun.f_eval
+
+        def coarse(a, x):
+            got = f_eval(a, x)
+            return dataclasses.replace(got, value=round(got.value, 6))
+
+        monkeypatch.setattr(specfun, "f_eval", coarse)
+        with pytest.raises(ConvergenceError, match="stayed above"):
+            specfun.f_inverse(0.7, 1.0 + 3.3e-7)
 
     def test_domain(self):
         with pytest.raises(ValueError):
