@@ -129,12 +129,14 @@ def _check_cancellation(value, loss, what):
         )
 
 
-def _series(what, z, alpha, first, ratio):
-    """Double-precision sum of t_0 = first, t_{n+1} = t_n * ratio(n) for
-    z >= -30, compensated; the bar is the last term plus the rounding
-    bound.  On the negative axis the cancellation must fit the budget; on
-    the positive axis the terms are positive, the bar adds the rounding of
-    building each term, and a sum beyond the double range raises."""
+def _series(what, z, alpha, ln_first, ratio):
+    """Double-precision sum of t_0 = exp(ln_first), t_{n+1} = t_n * ratio(n)
+    for z >= -30, compensated; the bar is the last term plus the rounding
+    bound, which charges every term the rounding of t_0, about
+    eps |ln_first| relative.  On the negative axis the cancellation must fit
+    the budget; on the positive axis the terms are positive, the bar adds
+    the rounding of building each term, and a sum beyond the double range
+    raises."""
     if z < -_NEG_Z_CAP:
         raise CancellationError(
             f"{what} at z={z:g} is outside the double-precision window "
@@ -145,7 +147,7 @@ def _series(what, z, alpha, first, ratio):
         # the terms peak near n = z^(1/alpha) / alpha; capped as in prabhakar_ln
         u = math.exp(min(math.log(z) / alpha, _LOG_MAX))
         n_cap = int(min(max(3.0 * u / alpha + 256.0, _MAX_TERMS), _POS_MAX_TERMS))
-    term = total = first
+    term = total = math.exp(ln_first)
     comp = 0.0
     abs_sum = abs(term)
     for n in range(n_cap):
@@ -158,7 +160,7 @@ def _series(what, z, alpha, first, ratio):
         # an overflowing sum stops here too, its bar no longer finite
         if (abs(term) <= _TERM_CUT * max(abs(total), 1e-300) and n >= 3) or math.isinf(abs_sum):
             value = total + comp
-            loss = _series_loss(abs_sum, n + 2)
+            loss = _series_loss(abs_sum, n + 2) + 2.0 * _EPS * abs(ln_first) * abs_sum
             if z < 0.0:
                 _check_cancellation(value, loss, what)
             elif z > 0.0:
@@ -186,7 +188,7 @@ def mittag_leffler(alpha, z, precision_digits=0):
     def ratio(n):
         return z * math.exp(gamma_ln(1.0 + alpha * n) - gamma_ln(1.0 + alpha * (n + 1)))
 
-    return _series("mittag_leffler", z, alpha, 1.0, ratio)
+    return _series("mittag_leffler", z, alpha, 0.0, ratio)
 
 
 def prabhakar(alpha, beta, gamma_p, z, precision_digits=0):
@@ -209,8 +211,8 @@ def prabhakar(alpha, beta, gamma_p, z, precision_digits=0):
         raise ValueError(f"prabhakar requires precision_digits >= 0, got {precision_digits}")
     if precision_digits > 0:
         return _prabhakar_hp(alpha, beta, gamma_p, z, precision_digits)
-    first = math.exp(-gamma_ln(beta))
-    if z > 0.0 and first < sys.float_info.min:
+    ln_first = -gamma_ln(beta)
+    if z > 0.0 and math.exp(ln_first) < sys.float_info.min:
         # a subnormal or zero first term spoils every later term, although
         # the sum itself may be a normal double
         raise SeriesOverflowError(f"1/Gamma({beta:g}) underflows double; use prabhakar_ln")
@@ -223,7 +225,7 @@ def prabhakar(alpha, beta, gamma_p, z, precision_digits=0):
             * math.exp(gamma_ln(beta + alpha * n) - gamma_ln(beta + alpha * (n + 1)))
         )
 
-    return _series("prabhakar", z, alpha, first, ratio)
+    return _series("prabhakar", z, alpha, ln_first, ratio)
 
 
 def _prabhakar_hp(alpha, beta, gamma_p, z, digits):

@@ -236,6 +236,17 @@ class TestPrabhakar:
                 ref = specfun.prabhakar(*params, z, precision_digits=25)
                 assert abs(got.value - ref.value) <= got.abs_error_estimate + ref.abs_error_estimate, params
 
+    @pytest.mark.parametrize("alpha, beta, gamma_p, z", [
+        (0.3, 100.0, 2.0, -2.0), (0.9, 100.0, 1.0, -25.0), (0.75, 170.0, 2.0, -0.3),
+        (1.0, 170.0, 0.5, 0.3), (0.75, 170.0, 2.0, 0.3)])
+    def test_large_beta_within_bar(self, alpha, beta, gamma_p, z):
+        # the first term exp(-ln Gamma(beta)) is rounded by about
+        # eps |ln Gamma(beta)| relative, 1.6e-13 at beta = 170, and every
+        # term inherits that rounding
+        got = specfun.prabhakar(alpha, beta, gamma_p, z)
+        oracles.assert_within_bar(got.value, got.abs_error_estimate,
+                                  oracles.prabhakar(alpha, beta, gamma_p, z))
+
     def test_large_argument_ratio(self):
         # E^g_{a,1}(r) / [r^((g-1)/a) e^(r^(1/a)) / (a^g Gamma(g))] -> 1
         alpha, gamma_p = 0.75, 1.0 / 7.0
