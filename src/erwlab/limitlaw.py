@@ -30,9 +30,6 @@ from .specfun import _EPS, _LOG_MAX, _check_cancellation, f_eval, f_inverse, gam
 _H_FIRST = _EPS ** (1.0 / 3.0)
 _H_SECOND = _EPS**0.25
 
-# double-precision cap for negative arguments, in units of rho_a
-_NEG_CAP_DOUBLE = 30.0
-_NEG_CAP_HP = 200.0
 # ln of the largest u = (rho_a |r|)^(1/a): the largest term, >= exp(u - 4.6), overflows beyond
 _LN_U_MAX = math.log(_LOG_MAX + 20.0)
 
@@ -204,29 +201,20 @@ def psi_mgf(a, r, precision_digits=0):
     """Psi, omega, xi, eta at r.
 
     With u = (rho_a |r|)^(1/a) the terms peak near n = u/a at about
-    exp(u): SeriesOverflowError up front where u > 729 (both half-axes in
-    double precision, r > 0 in the mpmath mode precision_digits > 0) and
-    wherever a sum leaves the double range.  Negative r is capped at 30
-    rho_a in double precision and 200 rho_a in the mpmath mode (cost grows
-    quadratically with the series length), CancellationError beyond;
-    there Psi and omega must each keep their own cancellation loss within
-    1e-6 of their own value.  A NaN r or a negative precision_digits raises
-    ValueError up front.
+    exp(u): SeriesOverflowError up front where u > 729, for every r != 0 in
+    double precision and in the mpmath mode precision_digits > 0 alike, and
+    wherever a sum leaves the double range.  For r < 0 in double precision
+    Psi and omega must each keep their own measured cancellation loss
+    within 1e-6 of their own value, CancellationError otherwise.  A NaN r or
+    a negative precision_digits raises ValueError up front.
     """
     if math.isnan(r):
         raise ValueError("psi_mgf requires a number r, got nan")
     if precision_digits < 0:
         raise ValueError(f"psi_mgf requires precision_digits >= 0, got {precision_digits}")
     rh = rho(a)
-    if r < 0.0:
-        cap = (_NEG_CAP_HP if precision_digits > 0 else _NEG_CAP_DOUBLE) * rh
-        if abs(r) > cap:
-            raise CancellationError(
-                f"psi_mgf at r={r:g} is beyond the cap {cap:g} "
-                f"({'high-precision' if precision_digits > 0 else 'double'} mode)"
-            )
     # u in logs, so that no power overflows before the test
-    if (r > 0.0 or r < 0.0 and precision_digits <= 0) and math.log(rh * abs(r)) / a > _LN_U_MAX:
+    if r != 0.0 and math.log(rh * abs(r)) / a > _LN_U_MAX:
         raise SeriesOverflowError(f"Psi({r:g}) at a={a:g} overflows double precision")
     peak = (rh * abs(r)) ** (1.0 / a) / a if r != 0.0 else 8.0
     n_max = int(3.0 * peak + 256)

@@ -8,9 +8,10 @@ Everything here is scalar double-precision with explicit error reporting:
 * the Mittag-Leffler function E_alpha(z) = sum z^n / Gamma(1+alpha n) and
   its three-parameter generalisation
   E^gamma_{alpha,beta}(z) = sum (gamma)_n z^n / (n! Gamma(beta+alpha n)),
-  each with its own term ratio and one shared compensated summation from
-  z = -30 up to the double range (SeriesOverflowError beyond it), and one
-  shared mpmath loop whose precision follows its largest term;
+  each with its own term ratio and one shared compensated summation that
+  refuses on its measured cancellation (CancellationError) and beyond the
+  double range (SeriesOverflowError), and one shared mpmath loop whose
+  precision follows its largest term;
 * the decreasing kernel
   F(z) = (1/a) * int_z^inf du / (u^(1+1/a) sqrt(1+u^2))
   in three mutually checked regimes (2F1 forms in -z^2 and in -1/z^2, both
@@ -41,8 +42,6 @@ _LOG_MAX = 709.0
 _POS_MAX_TERMS = 2_000_000  # term cap of prabhakar_ln and of the positive-axis series
 # series stops once a term's relative contribution drops below this
 _TERM_CUT = 1e-17
-# double-precision cap for alternating-series arguments
-_NEG_Z_CAP = 30.0
 # relative cancellation loss beyond which double precision is refused
 _CANCEL_BUDGET = 1e-6
 
@@ -130,18 +129,14 @@ def _check_cancellation(value, loss, what):
 
 
 def _series(what, z, alpha, ln_first, ratio):
-    """Double-precision sum of t_0 = exp(ln_first), t_{n+1} = t_n * ratio(n)
-    for z >= -30, compensated; the bar is the last term plus the rounding
-    bound, which charges every term the rounding of t_0, about
-    eps |ln_first| relative.  On the negative axis the cancellation must fit
-    the budget; on the positive axis the terms are positive, the bar adds
-    the rounding of building each term, and a sum beyond the double range
-    raises."""
-    if z < -_NEG_Z_CAP:
-        raise CancellationError(
-            f"{what} at z={z:g} is outside the double-precision window "
-            f"|z| <= {_NEG_Z_CAP:g}; use precision_digits > 0"
-        )
+    """Double-precision sum of t_0 = exp(ln_first), t_{n+1} = t_n * ratio(n),
+    compensated; the bar is the last term plus the rounding bound, which
+    charges every term the rounding of t_0, about eps |ln_first| relative.
+    Refusals follow from what the sum measures, at any z: on the negative
+    axis CancellationError where the loss exceeds the budget or the sum is
+    not finite; on the positive axis, where the terms are positive and the
+    bar adds the rounding of building each term, SeriesOverflowError
+    beyond the double range; ConvergenceError at the term cap."""
     n_cap = _MAX_TERMS
     if z > 0.0:
         # the terms peak near n = z^(1/alpha) / alpha; capped as in prabhakar_ln

@@ -166,13 +166,16 @@ class TestPsiMgf:
         assert abs(v.eta / limitlaw.eta_asymptote(a, s) - 1.0) < 0.05
         assert v.eta >= 0.0
 
-    def test_negative_cap_and_hp_mode(self):
+    def test_far_negative_axis_and_hp_mode(self):
+        # at -31 rho both modes return psi and omega within their bars of
+        # sums at 60 digits
         a = 0.75
-        r = moments.rho(a)
-        with pytest.raises(CancellationError):
-            limitlaw.psi_mgf(a, -31.0 * r)
-        hp = limitlaw.psi_mgf(a, -31.0 * r, precision_digits=50)
-        assert hp.omega > 0.0
+        r = -31.0 * moments.rho(a)
+        psi, omega = oracles.psi_mgf_sums(a, r, 60)[:2]
+        for digits in (0, 50):
+            v = limitlaw.psi_mgf(a, r, precision_digits=digits)
+            oracles.assert_within_bar(v.psi, v.error_estimate, psi)
+            oracles.assert_within_bar(v.omega, v.omega_error_estimate, omega)
         # hp and double agree where both are valid
         d = limitlaw.psi_mgf(a, -10.0)
         h = limitlaw.psi_mgf(a, -10.0, precision_digits=40)
@@ -277,10 +280,11 @@ class TestPsiMgf:
         with pytest.raises(SeriesOverflowError):
             limitlaw.psi_mgf(a, 709.8**a / rh)
 
-        # beyond u = 729 the call is refused before any moment is built:
-        # r > 0 in both modes, r < 0 in double mode, where near a = 1/2 the
-        # table would hold 75k moments.  The stand-in raises when called, so
-        # for the hp generator it fires before the first moment too
+        # beyond u = 729 the call is refused before any moment is built, on
+        # both half-axes and in both modes: near a = 1/2 the double table
+        # would hold 75k moments, and at (0.6, -20 rho) the hp sums took
+        # 1.5 s to overflow.  The stand-in raises when called, so for the
+        # hp generator it fires before the first moment too
         def unreachable(*args):
             raise AssertionError("moment table built")
 
@@ -291,6 +295,7 @@ class TestPsiMgf:
             (a, 730.0**a / rh, 30),
             (0.50002, -1.0, 0),
             (0.6, -29.0 * moments.rho(0.6), 0),
+            (0.6, -20.0 * moments.rho(0.6), 30),
         ]
         for aa, r, digits in calls:
             with pytest.raises(SeriesOverflowError):
@@ -298,7 +303,8 @@ class TestPsiMgf:
 
     @pytest.mark.parametrize("a, r", [(0.55, -20.0), (0.6, -29.0 * moments.rho(0.6))])
     def test_negative_overflow_inside_cap(self, a, r):
-        # within the 30 rho cap, but the largest series term overflows
+        # at |r| <= 30 rho, a modest argument, the largest series term
+        # overflows: the refusal names the overflow, not a cancellation
         assert abs(r) <= 30.0 * moments.rho(a)
         with pytest.raises(SeriesOverflowError):
             limitlaw.psi_mgf(a, r)

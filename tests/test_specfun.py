@@ -289,8 +289,8 @@ class TestPrabhakar:
         assert specfun.prabhakar_ln(0.5, 100.0, 1.0, z) == pytest.approx(float(ref), rel=1e-12)
 
     def test_negative_argument_decay(self):
-        # E^g_{a,b}(-r) = O(r^-g): decreasing in r; double precision up to
-        # the cancellation window, high-precision mode beyond it
+        # E^g_{a,b}(-r) = O(r^-g): decreasing in r; double precision while
+        # the cancellation fits its budget, high-precision mode beyond it
         alpha, beta, gamma_p = 0.75, 1.0, 0.4
         vals = [specfun.prabhakar(alpha, beta, gamma_p, -r).value for r in (2.0, 4.0, 8.0)]
         assert vals[0] > vals[1] > vals[2] > 0.0
