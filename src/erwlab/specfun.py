@@ -334,10 +334,7 @@ def _f_quadrature(a, z):
     inv_a = 1.0 / a
 
     def g(theta):
-        t = math.tan(theta)
-        if t <= 0.0:
-            return 0.0
-        return t ** (-1.0 - inv_a) / math.cos(theta)
+        return math.tan(theta) ** (-1.0 - inv_a) / math.cos(theta)
 
     value, err = integrate(g, math.atan(z), 0.5 * math.pi, tol_abs=1e-13, tol_rel=5e-14)
     return SeriesEval(value / a, err / a + 4 * _EPS * abs(value / a), 15, "quadrature")
