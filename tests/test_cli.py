@@ -211,6 +211,14 @@ def test_rho_json(tmp_path):
     assert data["delta"] == 1.0 / 7.0
 
 
+def test_stdout_is_the_default_out(tmp_path, capsys):
+    # without --out a command writes to stdout the bytes it writes to a file
+    out = tmp_path / "rho.json"
+    assert run(["rho", "--a", "0.75", "--out", str(out)]) == 0
+    assert run(["rho", "--a", "0.75"]) == 0
+    assert capsys.readouterr().out == out.read_text()
+
+
 def test_rho_grid(tmp_path):
     out = tmp_path / "rho.csv"
     assert run(["rho", "--grid", "0.55,0.95,5", "--out", str(out)]) == 0

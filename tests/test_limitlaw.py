@@ -245,6 +245,10 @@ class TestPsiMgf:
     def test_positive_overflow_guard(self):
         with pytest.raises(SeriesOverflowError):
             limitlaw.psi_mgf(0.75, 1e4)
+        # at u = 716, below the up-front refusal at u = 729, the largest
+        # term leaves the double range before any sum is formed
+        with pytest.raises(SeriesOverflowError, match="largest term exp\\(711.6\\) overflows"):
+            limitlaw.psi_mgf(0.75, 107.42)
 
     @pytest.mark.parametrize("digits", [0, 30])
     def test_nan_refused(self, digits):

@@ -80,6 +80,12 @@ class TestHyp2F1:
                 h.update(f"{ev.value.hex()} {ev.abs_error_estimate.hex()} {ev.terms_used}\n".encode())
         assert h.hexdigest() == "40d6d8323835e3e5131b758475d10894887b42a2df405f44cce2ca248cc03c20"
 
+    def test_term_cap_raises(self, monkeypatch):
+        # 2F1(1, 1; 2; 0.4) takes 39 terms: a cap of 5 fails loudly
+        monkeypatch.setattr(specfun, "_MAX_TERMS", 5)
+        with pytest.raises(ConvergenceError, match="2F1 series did not converge within 5 terms"):
+            specfun.hyp2f1(1.0, 1.0, 2.0, 0.4)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             specfun.hyp2f1(1.0, 1.0, -2.0, 0.5)
@@ -143,6 +149,17 @@ class TestMittagLeffler:
         for alpha, z in ((0.6, -25.0), (0.75, -200.0), (0.3, -20.0), (0.3, -8.0)):
             with pytest.raises(CancellationError):
                 specfun.mittag_leffler(alpha, z)
+
+    def test_term_caps_raise(self, monkeypatch):
+        # E_{3/4}(-2) takes 38 terms in double precision and 59 at 30
+        # digits; a cap of 5 (10) fails loudly in each mode.  The mpmath
+        # cap passes its up-front peak test, ln(2)/0.75 < ln(0.75 * 10)
+        monkeypatch.setattr(specfun, "_MAX_TERMS", 5)
+        with pytest.raises(ConvergenceError, match="mittag_leffler series did not converge within 5 terms"):
+            specfun.mittag_leffler(0.75, -2.0)
+        monkeypatch.setattr(specfun, "_HP_MAX_TERMS", 10)
+        with pytest.raises(ConvergenceError, match="high-precision Prabhakar series stalled"):
+            specfun.mittag_leffler(0.75, -2.0, precision_digits=30)
 
     def test_high_precision_mode(self):
         got = specfun.mittag_leffler(0.75, -20.0, precision_digits=40)
@@ -216,6 +233,11 @@ class TestPrabhakar:
             specfun.mittag_leffler(0.1, -30.0, precision_digits=30)
         with pytest.raises(SeriesOverflowError):
             specfun.mittag_leffler(1.0, 800.0, precision_digits=20)
+        # a value near 1/Gamma(40) = 5e-48 lies below the cut's 1e-30 floor:
+        # the sum stops at a term that more working digits do not shrink,
+        # so the second pass misses the 30 digits too
+        with pytest.raises(CancellationError, match="even at 54 working digits"):
+            specfun.prabhakar(1.0, 40.0, 1.0, -1.0, precision_digits=30)
 
     def test_overflowing_terms_raise(self):
         # the terms overflow and the sum is NaN: a typed error, not NaN

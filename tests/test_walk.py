@@ -538,6 +538,20 @@ class TestSimulate:
             assert got.dtype == ref.dtype == np.int64
             assert got.tobytes() == ref.tobytes()
 
+    def test_chunk_refuses_out_of_range_parents(self, monkeypatch):
+        # a generator that returned u = 2 would pick steps beyond the
+        # trajectory; the gathers clip, so the check must raise instead
+        class TwosGenerator:
+            def __init__(self, bitgen):
+                pass
+
+            def random(self, dtype=None, out=None):
+                out[...] = 2.0
+
+        monkeypatch.setattr(walk.np.random, "Generator", TwosGenerator)
+        with pytest.raises(IndexError, match="parent index out of range"):
+            walk._simulate_chunk(0.9, 1.0, 10, 21, 0, 2)
+
     @staticmethod
     def _chunk_peak(n, count):
         # traced peak of one worker's chunk, after an untraced call of the
