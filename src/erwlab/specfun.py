@@ -131,7 +131,8 @@ def _check_cancellation(value, loss, what):
 def _series(what, z, alpha, ln_first, ratio):
     """Double-precision sum of t_0 = exp(ln_first), t_{n+1} = t_n * ratio(n),
     compensated; the bar is the last term plus the rounding bound, which
-    charges every term the rounding of t_0, about eps |ln_first| relative.
+    charges every term 2 eps |ln_first| relative: t_0 carries the rounding
+    of ln_first, eps |ln_first|, and of exp, and every term inherits it.
     Refusals follow from what the sum measures, at any z: on the negative
     axis CancellationError where the loss exceeds the budget or the sum is
     not finite; on the positive axis, where the terms are positive and the

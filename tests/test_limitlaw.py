@@ -286,9 +286,9 @@ class TestPsiMgf:
 
         # beyond u = 729 the call is refused before any moment is built, on
         # both half-axes and in both modes: near a = 1/2 the double table
-        # would hold 75k moments, and at (0.6, -20 rho) the hp sums took
-        # 1.5 s to overflow.  The stand-in raises when called, so for the
-        # hp generator it fires before the first moment too
+        # would hold 75k moments, and at (0.6, -20 rho) the hp sums would
+        # run for seconds before they overflow.  The stand-in raises when
+        # called, so for the hp generator it fires before the first moment
         def unreachable(*args):
             raise AssertionError("moment table built")
 
