@@ -299,17 +299,49 @@ def resolve_threads(threads=None):
     return threads
 
 
+# Generator.random's conversions of Philox's raw uint64 words: a float64 is
+# the top 53 bits of one word, a float32 the top 24 bits of a 32-bit half
+_PICK_SCALE = 2.0**-53
+_FLIP_SCALE = 2.0**-24
+# largest random_raw draw in words: a walk of up to 10 922 steps is one draw,
+# a longer one holds at most 128 KB of the draw's temporary array
+_SPAN = 2**14
+
+
+def _decode_flips(words, n, out):
+    """The float32 uniforms Generator.random(n, dtype=np.float32) makes
+    from Philox words, into out (shape words.shape[:-1] + (n,)): numpy
+    splits each word into its 32-bit halves, low half first, and keeps the
+    top 24 bits of each.  Shifts the words in place."""
+    # values in little-endian order, then read as 32-bit halves: low half
+    # first on a host of either byte order
+    halves = words.astype("<u8", copy=False).view("<u4")[..., :n]
+    np.right_shift(halves, 8, out=halves)
+    return np.multiply(halves, _FLIP_SCALE, out=out, dtype=np.float32)
+
+
+def _decode_picks(words, out):
+    """The float64 uniforms Generator.random makes from Philox words, one
+    per word, into out: the top 53 bits of each.  Shifts the words in
+    place."""
+    np.right_shift(words, 11, out=words)
+    return np.multiply(words, _PICK_SCALE, out=out)
+
+
 def _simulate_chunk(p, q_first, n, seed, lo, hi):
     # one counter-based stream per trajectory: key = (seed, trajectory index),
     # so results do not depend on chunking or scheduling; each block of
     # trajectories is resolved by pointer jumping (see simulate_terminal)
     count = hi - lo
     block = max(1, min(count, 2**16 // n))
+    # a trajectory's n float64 picks take one word each, its n float32 flips
+    # one half-word each
+    width = n + (n + 1) // 2
     # every per-block array is allocated once per chunk and reused, the last
     # (partial) block through [:b] views; fresh arrays per block cost page
-    # faults under the thread pool, where the allocator keeps returning them
-    u_pick = np.empty((block, n))
-    u_flip = np.empty((block, n), dtype=np.float32)
+    # faults under the thread pool, where the allocator keeps returning them.
+    # up stages the decoded flips, then the picks, before it holds the jumps
+    words = np.empty((block, width), dtype=np.uint64)
     parent = np.empty((block, n), dtype=np.intp)
     up = np.empty(block * n, dtype=np.intp)
     sign = np.empty((block, n), dtype=np.int8)
@@ -317,15 +349,14 @@ def _simulate_chunk(p, q_first, n, seed, lo, hi):
     times = np.arange(n)
     offsets = np.arange(0, block * n, n)[:, None]
     sums = np.empty(count, dtype=np.int64)
+    spans = [(slice(s, s + _SPAN), min(_SPAN, width - s)) for s in range(0, width, _SPAN)]
     # one generator per chunk, reset for each trajectory to a fresh state
-    # (zero counter, empty buffer, no buffered uint32: at odd n the float32
-    # flips leave half a uint64) keyed (seed, i), which gives the stream of
+    # (zero counter, empty buffer) keyed (seed, i), which gives the stream of
     # Philox(key=(seed, i)) without its constructor's discarded entropy draw;
     # the state is plain ints, which the setter reads about 2.5x faster than
     # the arrays the getter returns
     bitgen = np.random.Philox(key=np.array([seed, lo], dtype=np.uint64))
-    random = np.random.Generator(bitgen).random
-    f32 = np.dtype(np.float32)
+    raw = bitgen.random_raw
     fresh = {
         "bit_generator": "Philox",
         "state": {"counter": [0] * 4, "key": [seed, lo]},
@@ -335,40 +366,50 @@ def _simulate_chunk(p, q_first, n, seed, lo, hi):
         "uinteger": 0,
     }
     key = fresh["state"]["key"]
-    pick_rows, flip_rows = list(u_pick), list(u_flip)
+    rows = list(words)
     for start in range(0, count, block):
         b = min(block, count - start)
         for j in range(b):
             key[1] = lo + start + j
             bitgen.state = fresh
-            random(out=pick_rows[j])
-            random(dtype=f32, out=flip_rows[j])
-        pick, flip, signs = u_pick[:b], u_flip[:b], sign[:b]
-        pick *= times
-        # the unsafe cast truncates: step m picks step floor(u_m * m)
-        np.copyto(parent[:b], pick, casting="unsafe")
-        parent[:b] += offsets[:b]
+            row = rows[j]
+            for span, size in spans:
+                row[span] = raw(size)
+        signs = sign[:b]
+        flip = _decode_flips(words[:b, n:], n, up.view(np.float32)[: b * n].reshape(b, n))
         # +1 (copy) / -1 (flip): 0/1 from the comparison, then 2x - 1
         np.less(flip, p, out=signs.view(np.bool_))
         signs *= 2
         signs -= 1
         signs[:, 0] = 1
         first = np.where(flip[:, 0] < q_first, 1, -1)
+        pick = _decode_picks(words[:b, :n], up.view(np.float64)[: b * n].reshape(b, n))
+        pick *= times
+        # the unsafe cast truncates: step m picks step floor(u_m * m)
+        np.copyto(parent[:b], pick, casting="unsafe")
+        parent[:b] += offsets[:b]
         at, nxt = parent[:b].reshape(-1), up[: b * n]
         sgn, hp = signs.reshape(-1), hop[: b * n]
         if at.min() < 0 or at.max() >= b * n:
             raise IndexError(f"parent index out of range [0, {b * n})")
         # invariant: step[m] = sgn[m] * step[at[m]]; a root is its own parent.
-        # A gather of in-range indices stays in range, so mode="clip" never
-        # clips; unlike mode="raise" it writes out= without a hidden copy.
-        # hp holds each round's "moved" flags before it holds the hop signs
-        while True:
-            np.take(at, at, out=nxt, mode="clip")
-            moved = np.not_equal(nxt, at, out=hp.view(np.bool_))
-            if not moved.any():
-                break
+        # Every pointer of row r stays at or above the row's root r*n and
+        # equals it only at the root, so all pointers sit at their roots
+        # exactly when they sum to n*n*b*(b-1)/2 (below 2**61 for b*n <=
+        # 2**31).  A tree at most n - 1 steps high needs fewer than
+        # n.bit_length() rounds; more mean pointers that break the
+        # invariant, which would never stop.  A gather of in-range indices
+        # stays in range, so mode="clip" never clips; unlike mode="raise"
+        # it writes out= without a hidden copy.
+        roots = n * n * b * (b - 1) // 2
+        rounds = n.bit_length()
+        while at.sum(dtype=np.int64) != roots:
+            if not rounds:
+                raise IndexError("parent pointers do not reach their roots")
+            rounds -= 1
             np.take(sgn, at, out=hp, mode="clip")
             sgn *= hp
+            np.take(at, at, out=nxt, mode="clip")
             at, nxt = nxt, at
         sums[start : start + b] = first * signs.sum(axis=1, dtype=np.int64)
     return sums
@@ -380,20 +421,24 @@ def simulate_terminal(params, n, count, seed, threads=None):
 
     Deterministic for fixed (seed, count, n): trajectory i consumes only
     its own Philox stream keyed by (seed, i), first n float64 picks, then
-    n float32 flips.  Each worker keeps one generator and resets its state
-    for every trajectory to key (seed, i), a zero counter and an empty
-    buffer, so the stream equals that of a fresh Philox(key=(seed, i)).
-    Output is ordered by trajectory index regardless of thread scheduling.
+    n float32 flips, as Generator.random would draw them.  Each worker
+    keeps one generator and resets its state for every trajectory to key
+    (seed, i), a zero counter and an empty buffer, so the stream equals
+    that of a fresh Philox(key=(seed, i)); one random_raw call per
+    trajectory (per span of 2**14 words) draws its raw words, which
+    numpy's own conversions decode.  Output is ordered by trajectory index
+    regardless of thread scheduling.
 
     Each worker evaluates its trajectories in blocks of
     max(1, 2**16 // n): step m picks the earlier step floor(u_m * m), so a
     trajectory's steps form a recursive tree, and pointer jumping gives
     every step its sign relative to the first step in a few vectorised
-    rounds (about log2 of the tree height).  A worker allocates its buffers
-    once per chunk and reuses them for every block; it holds 30 bytes per
-    step of one block plus 8 bytes per step of one walk and 8 per
-    trajectory (measured peak 32.5 bytes per step of one block at n = 1e4):
-    about 2 MB for n <= 2**16, 38 n bytes above.
+    rounds (about log2 of the tree height), until the pointers sum to
+    their roots'.  A worker allocates its buffers once per chunk and
+    reuses them for every block; it holds 30 bytes per step of one block
+    plus 8 bytes per step of one walk, 8 per trajectory and one span of
+    raw words (measured peak 33.4 bytes per step of one block at
+    n = 1e4): about 2 MB for n <= 2**16, 38 n bytes above.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

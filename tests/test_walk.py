@@ -538,18 +538,44 @@ class TestSimulate:
             assert got.dtype == ref.dtype == np.int64
             assert got.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("n", [1, 200, 201, 12_001])
+    def test_decode_matches_generator_random(self, n):
+        # three trajectories' raw words, drawn in spans as the chunk draws
+        # them (n = 12 001 crosses a span boundary), against numpy's own
+        # Generator.random on the same keys; seed 2**64 - 1 puts the key at
+        # the top of the uint64 range
+        width = n + (n + 1) // 2
+        for seed in (99, 2**64 - 1):
+            words = np.empty((3, width), dtype=np.uint64)
+            picks = np.empty((3, n))
+            flips = np.empty((3, n), dtype=np.float32)
+            for i in range(3):
+                key = np.array([seed, i], dtype=np.uint64)
+                raw = np.random.Philox(key=key).random_raw
+                words[i] = np.concatenate(
+                    [raw(min(walk._SPAN, width - s)) for s in range(0, width, walk._SPAN)]
+                )
+                gen = np.random.Generator(np.random.Philox(key=key))
+                picks[i] = gen.random(n)
+                flips[i] = gen.random(n, dtype=np.float32)
+            got_flips = walk._decode_flips(words[:, n:], n, np.empty((3, n), dtype=np.float32))
+            got_picks = walk._decode_picks(words[:, :n], np.empty((3, n)))
+            assert got_picks.tobytes() == picks.tobytes()
+            assert got_flips.tobytes() == flips.tobytes()
+
     def test_chunk_refuses_out_of_range_parents(self, monkeypatch):
-        # a generator that returned u = 2 would pick steps beyond the
-        # trajectory; the gathers clip, so the check must raise instead
-        class TwosGenerator:
-            def __init__(self, bitgen):
-                pass
-
-            def random(self, dtype=None, out=None):
-                out[...] = 2.0
-
-        monkeypatch.setattr(walk.np.random, "Generator", TwosGenerator)
+        # a decode to u in [0, 2) would pick steps beyond the trajectory;
+        # the gathers clip, so the check must raise instead
+        monkeypatch.setattr(walk, "_PICK_SCALE", 2.0**-52)
         with pytest.raises(IndexError, match="parent index out of range"):
+            walk._simulate_chunk(0.9, 1.0, 100, 21, 0, 2)
+
+    def test_chunk_refuses_pointers_that_miss_their_roots(self, monkeypatch):
+        # here the same decode keeps every parent in range but makes step 2
+        # its own parent: pointer jumping would never stop, so the round
+        # cap must raise
+        monkeypatch.setattr(walk, "_PICK_SCALE", 2.0**-52)
+        with pytest.raises(IndexError, match="do not reach their roots"):
             walk._simulate_chunk(0.9, 1.0, 10, 21, 0, 2)
 
     @staticmethod
