@@ -30,6 +30,7 @@ from .errors import (
     CancellationError,
     ConsistencyError,
     ConvergenceError,
+    QuadratureError,
     SeriesOverflowError,
 )
 from .quadrature import integrate
@@ -245,7 +246,7 @@ def _prabhakar_hp(alpha, beta, gamma_p, z, digits):
                 term = coef / mp.gamma(be + al * n)
                 total += term
                 largest = max(largest, abs(term))
-                if n > 4 and abs(term) < cut * max(abs(total), mp.mpf(1e-30)):
+                if n > 4 and abs(term) < cut * abs(total):
                     break
                 coef *= zz * (ga + n) / (n + 1)
                 n += 1
@@ -337,7 +338,14 @@ def _f_quadrature(a, z):
     def g(theta):
         return math.tan(theta) ** (-1.0 - inv_a) / math.cos(theta)
 
-    value, err = integrate(g, math.atan(z), 0.5 * math.pi, tol_abs=1e-13, tol_rel=5e-14)
+    try:
+        value, err = integrate(g, math.atan(z), 0.5 * math.pi, tol_abs=1e-13, tol_rel=5e-14)
+    except OverflowError:
+        # near theta = 0 the integrand grows like z^(-1-1/a), beyond the
+        # double range well before F does
+        raise QuadratureError(
+            f"F quadrature at a={a:g}, z={z:g} overflows double", math.inf
+        ) from None
     return SeriesEval(value / a, err / a + 4 * _EPS * abs(value / a), 15, "quadrature")
 
 
@@ -377,6 +385,12 @@ def f_eval(a, z, method="auto"):
         raise ValueError("f_eval requires a in (1/2, 1)")
     if not (z > 0.0):
         raise ValueError("f_eval requires z > 0")
+    # z^(-1/a) - rho^(1/a) < F(z) < z^(-1/a) (see f_inverse), so F is past
+    # the double range exactly when z^(-1/a) is, up to a unit roundoff
+    try:
+        z ** (-1.0 / a)
+    except OverflowError:
+        raise SeriesOverflowError(f"F({z:g}) at a={a:g} exceeds the double range") from None
     if method == "quadrature":
         return _f_quadrature(a, z)
     if method == "series":

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -378,6 +379,18 @@ def test_numeric_failure_exits_one(capsys):
     # a outside the superdiffusive window is a numeric failure, not usage
     assert run(["moments", "--a", "0.4", "--n-max", "10"]) == 1
     assert "numeric failure" in capsys.readouterr().err
+
+
+def test_f_beyond_double_range_exits_one_without_traceback():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "erwlab.cli", "specfun", "--fn", "f", "--params", "0.7",
+         "--z", "1e-300"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 1
+    assert "exceeds the double range" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_shape_bad_n_max_writes_nothing(tmp_path):

@@ -11,7 +11,8 @@ from numpy.testing import assert_allclose
 import oracles
 from erwlab import specfun
 from erwlab.errors import (
-    CancellationError, ConsistencyError, ConvergenceError, SeriesOverflowError)
+    CancellationError, ConsistencyError, ConvergenceError, QuadratureError,
+    SeriesOverflowError)
 
 
 class TestGammaLn:
@@ -226,18 +227,25 @@ class TestPrabhakar:
             return
         _assert_within_bar(got, oracles.prabhakar(0.75, 1.0, 40.0, -10.0))
 
-    def test_high_precision_typed_failures(self):
+    def test_high_precision_typed_failures(self, monkeypatch):
         # a peak beyond the term cap is refused before any digits are set;
         # a sum beyond double's range is not returned as inf
         with pytest.raises(ConvergenceError):
             specfun.mittag_leffler(0.1, -30.0, precision_digits=30)
         with pytest.raises(SeriesOverflowError):
             specfun.mittag_leffler(1.0, 800.0, precision_digits=20)
-        # a value near 1/Gamma(40) = 5e-48 lies below the cut's 1e-30 floor:
-        # the sum stops at a term that more working digits do not shrink,
-        # so the second pass misses the 30 digits too
-        with pytest.raises(CancellationError, match="even at 54 working digits"):
-            specfun.prabhakar(1.0, 40.0, 1.0, -1.0, precision_digits=30)
+        # the first pass of this sum misses its 30 digits; with the digits
+        # it measured taken away, the second pass misses them too
+        monkeypatch.setattr(mp, "log10", lambda x: mp.mpf(-2))
+        with pytest.raises(CancellationError, match="even at 50 working digits"):
+            specfun.prabhakar(0.75, 1.0, 40.0, -10.0, precision_digits=30)
+
+    @pytest.mark.parametrize("beta", [40.0, 60.0])
+    def test_high_precision_tiny_values(self, beta):
+        # values near 1/Gamma(beta), 5e-47 and 7e-81: the stop rule is
+        # relative to the partial sum however small it is
+        got = specfun.prabhakar(1.0, beta, 1.0, -1.0, precision_digits=30)
+        _assert_within_bar(got, oracles.prabhakar(1.0, beta, 1.0, -1.0))
 
     def test_overflowing_terms_raise(self):
         # the terms overflow and the sum is NaN: a typed error, not NaN
@@ -393,6 +401,19 @@ class TestFKernel:
             gaps.append(abs(specfun.f_eval(a, z).value - z ** (-1.0 / a) + rr))
         assert gaps[1] < gaps[0]
         assert gaps[1] < 5e-4
+
+    @pytest.mark.parametrize("method", ["auto", "hypergeometric", "series", "quadrature"])
+    def test_beyond_double_range_is_typed(self, method):
+        # F(1e-300) at a = 0.7 is about 1e428
+        with pytest.raises(SeriesOverflowError, match="exceeds the double range"):
+            specfun.f_eval(0.7, 1e-300, method=method)
+
+    @pytest.mark.parametrize("a, z", [(0.55, 1e-150), (0.7, 1e-150), (0.95, 1e-200)])
+    def test_quadrature_integrand_overflow_is_typed(self, a, z):
+        # F is in range (the 2F1 form evaluates it), the integrand is not
+        assert math.isfinite(specfun.f_eval(a, z).value)
+        with pytest.raises(QuadratureError, match="overflows double"):
+            specfun.f_eval(a, z, method="quadrature")
 
     def test_large_z_limit(self):
         # F(z) (a+1) z^(1+1/a) -> 1
