@@ -351,7 +351,15 @@ def _f_quadrature(a, z):
 
 def _f_series(a, z):
     # descending form z^(-1-1/a)/(a+1) 2F1(1/2, b; b+1; -1/z^2), b = 1/2 + 1/(2a);
-    # hyp2f1's Pfaff transform takes over for z < sqrt(2)
+    # hyp2f1's Pfaff transform takes over for z < sqrt(2), where it sums in
+    # 1/(1+z^2).  Its terms fall like n^(-1/2-b) (1+z^2)^(-n), so below
+    # z = 0.05 the cap stops it first; below z^2 = eps its argument rounds
+    # to 1 and -1/z^2 can overflow, so it is refused up front
+    if z * z < _EPS:
+        raise ConvergenceError(
+            f"F descending series at a={a:g}, z={z:g}: its argument 1/(1+z^2) rounds "
+            f"to 1, where 2F1 does not converge; use method='hypergeometric'"
+        )
     b = 0.5 + 0.5 / a
     h = hyp2f1(0.5, b, b + 1.0, -1.0 / (z * z))
     scale = z ** (-1.0 - 1.0 / a) / (a + 1.0)
@@ -375,11 +383,15 @@ def f_eval(a, z, method="auto"):
     """F(z) = (1/a) int_z^inf du / (u^(1+1/a) sqrt(1+u^2)), a in (1/2, 1), z > 0.
 
     method: 'hypergeometric' and 'series' are the 2F1 forms in -z^2 and in
-    -1/z^2 (the latter converges for every z > 0: hyp2f1's Pfaff transform
-    takes over below z = sqrt(2)); 'quadrature' is the oracle-grade fallback.
-    'auto' picks the first for z <= 1.1 and the second above, and raises
-    ConsistencyError if they disagree beyond their combined error bars on
-    the band [1.02, 1.2].
+    -1/z^2.  The latter converges within hyp2f1's term cap only above
+    about z = 0.05 (hyp2f1's Pfaff transform takes over below z = sqrt(2))
+    and raises ConvergenceError below.  'quadrature' is an independent
+    check for moderate z: its segment budget runs out (QuadratureError)
+    below about z = 1e-7 at a = 0.55, 1.5e-9 at a = 0.7 and 1.2e-12 at
+    a = 0.95.  'auto' picks the first for z <= 1.1 and the second above,
+    and raises ConsistencyError if they disagree beyond their combined
+    error bars on the band [1.02, 1.2].  Every z > 0 gives a value or an
+    ErwLabError, SeriesOverflowError where F is past the double range.
     """
     if not (0.5 < a < 1.0):
         raise ValueError("f_eval requires a in (1/2, 1)")

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 import oracles
 from erwlab import specfun
 from erwlab.errors import (
-    CancellationError, ConsistencyError, ConvergenceError, QuadratureError,
+    CancellationError, ConsistencyError, ConvergenceError, ErwLabError, QuadratureError,
     SeriesOverflowError)
 
 
@@ -414,6 +414,31 @@ class TestFKernel:
         assert math.isfinite(specfun.f_eval(a, z).value)
         with pytest.raises(QuadratureError, match="overflows double"):
             specfun.f_eval(a, z, method="quadrature")
+
+    @pytest.mark.parametrize("a", [0.55, 0.7, 0.95])
+    def test_series_small_z_is_typed(self, a):
+        # z = 10^-k / 4 from 0.25 down to 2.5e-321: a finite value or an
+        # ErwLabError at every z.  Below z^2 = eps the series refuses up
+        # front, as its Pfaff argument 1/(1+z^2) rounds to 1 and z * z
+        # underflows to 0 below about 1e-162; further down F leaves the
+        # double range
+        for k in range(321):
+            z = 10.0**-k / 4
+            try:
+                got = specfun.f_eval(a, z, method="series")
+            except ErwLabError:
+                continue
+            assert math.isfinite(got.value) and got.value > 0.0, z
+        for z in (2.5e-9, 1e-10, 2.5e-163):
+            with pytest.raises(ConvergenceError, match="rounds to 1"):
+                specfun.f_eval(a, z, method="series")
+
+    def test_quadrature_budget_runs_out_at_small_z(self):
+        # the integrand's z^(-1-1/a) peak at theta = arctan z: F is a
+        # double there (the 2F1 form evaluates it), the quadrature is not
+        assert math.isfinite(specfun.f_eval(0.7, 1e-10).value)
+        with pytest.raises(QuadratureError, match="segment budget exhausted"):
+            specfun.f_eval(0.7, 1e-10, method="quadrature")
 
     def test_large_z_limit(self):
         # F(z) (a+1) z^(1+1/a) -> 1
