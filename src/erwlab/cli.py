@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import acceptance, limitlaw, moments, specfun, walk
-from .emit import write_csv, write_json
+from .emit import fmt, write_csv, write_json
 from .errors import ErwLabError
 
 
@@ -123,7 +123,12 @@ def cmd_simulate(args):
         rows = [(edges[i], edges[i + 1], hist[i]) for i in range(len(hist))]
         write_csv(args.out, ("x_left", "x_right", "density"), rows, meta=meta)
     else:
-        write_csv(args.out, ("sample",), zip(samples.tolist()), meta=meta)
+        # a sample is S/n^a, one of at most n + 1 values, each formatted once;
+        # never -0.0 or NaN (integer sums over a positive scale), so equal
+        # values are equal doubles
+        values = samples.tolist()
+        text = {v: fmt(v) for v in set(values)}
+        write_csv(args.out, ("sample",), zip(map(text.__getitem__, values)), meta=meta)
     return 0
 
 

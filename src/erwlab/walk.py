@@ -302,30 +302,36 @@ def resolve_threads(threads=None):
 # Generator.random's conversions of Philox's raw uint64 words: a float64 is
 # the top 53 bits of one word, a float32 the top 24 bits of a 32-bit half
 _PICK_SCALE = 2.0**-53
-_FLIP_SCALE = 2.0**-24
 # largest random_raw draw in words: a walk of up to 10 922 steps is one draw,
 # a longer one holds at most 128 KB of the draw's temporary array
 _SPAN = 2**14
 
 
-def _decode_flips(words, n, out):
-    """The float32 uniforms Generator.random(n, dtype=np.float32) makes
-    from Philox words, into out (shape words.shape[:-1] + (n,)): numpy
-    splits each word into its 32-bit halves, low half first, and keeps the
-    top 24 bits of each.  Shifts the words in place."""
-    # values in little-endian order, then read as 32-bit halves: low half
-    # first on a host of either byte order
-    halves = words.astype("<u8", copy=False).view("<u4")[..., :n]
-    np.right_shift(halves, 8, out=halves)
-    return np.multiply(halves, _FLIP_SCALE, out=out, dtype=np.float32)
+def _halves(words, n):
+    """The first n 32-bit halves of words (along the last axis), in the
+    order Generator.random(n, dtype=np.float32) reads them: low half first
+    on a host of either byte order (the values in little-endian order, then
+    read as 32-bit halves)."""
+    return words.astype("<u8", copy=False).view("<u4")[..., :n]
 
 
-def _decode_picks(words, out):
-    """The float64 uniforms Generator.random makes from Philox words, one
-    per word, into out: the top 53 bits of each.  Shifts the words in
-    place."""
+def _flip_threshold(p):
+    """The integer t with h < t exactly where Generator.random(dtype=
+    np.float32) makes a uniform below p from the 32-bit half h.  numpy
+    compares that uniform, (h >> 8) 2**-24, with p in the type
+    np.result_type(np.float32, p): float32(p) for a Python float, which is
+    a weak scalar, p itself for a numpy float64.  For c = ceil(p 2**24) in
+    that type, h >> 8 < c exactly where h < 256 c; the products are exact."""
+    return math.ceil(np.result_type(np.float32, p).type(p) * 2**24) * 256
+
+
+def _decode_picks(words, scaled_times, out):
+    """u_m * m into out, for the float64 uniforms u_m = (w >> 11) 2**-53
+    that Generator.random makes from Philox words w, one per word, and
+    scaled_times[m] = m 2**-53: one multiply, rounded once as u_m * m is,
+    since scaling by a power of two is exact.  Shifts the words in place."""
     np.right_shift(words, 11, out=words)
-    return np.multiply(words, _PICK_SCALE, out=out)
+    return np.multiply(words, scaled_times, out=out)
 
 
 def _simulate_chunk(p, q_first, n, seed, lo, hi):
@@ -340,13 +346,16 @@ def _simulate_chunk(p, q_first, n, seed, lo, hi):
     # every per-block array is allocated once per chunk and reused, the last
     # (partial) block through [:b] views; fresh arrays per block cost page
     # faults under the thread pool, where the allocator keeps returning them.
-    # up stages the decoded flips, then the picks, before it holds the jumps
+    # up stages the scaled picks before it holds the jumps
     words = np.empty((block, width), dtype=np.uint64)
     parent = np.empty((block, n), dtype=np.intp)
     up = np.empty(block * n, dtype=np.intp)
     sign = np.empty((block, n), dtype=np.int8)
     hop = np.empty(block * n, dtype=np.int8)
-    times = np.arange(n)
+    # m 2**-53, so that a pick u_m * m is one multiply of its shifted word
+    scaled_times = np.arange(n, dtype=float)
+    scaled_times *= _PICK_SCALE
+    flip_t, first_t = _flip_threshold(p), _flip_threshold(q_first)
     offsets = np.arange(0, block * n, n)[:, None]
     sums = np.empty(count, dtype=np.int64)
     spans = [(slice(s, s + _SPAN), min(_SPAN, width - s)) for s in range(0, width, _SPAN)]
@@ -375,16 +384,16 @@ def _simulate_chunk(p, q_first, n, seed, lo, hi):
             row = rows[j]
             for span, size in spans:
                 row[span] = raw(size)
-        signs = sign[:b]
-        flip = _decode_flips(words[:b, n:], n, up.view(np.float32)[: b * n].reshape(b, n))
+        signs, halves = sign[:b], _halves(words[:b, n:], n)
         # +1 (copy) / -1 (flip): 0/1 from the comparison, then 2x - 1
-        np.less(flip, p, out=signs.view(np.bool_))
+        np.less(halves, flip_t, out=signs.view(np.bool_))
         signs *= 2
         signs -= 1
         signs[:, 0] = 1
-        first = np.where(flip[:, 0] < q_first, 1, -1)
-        pick = _decode_picks(words[:b, :n], up.view(np.float64)[: b * n].reshape(b, n))
-        pick *= times
+        first = np.where(halves[:, 0] < first_t, 1, -1)
+        pick = _decode_picks(
+            words[:b, :n], scaled_times, up.view(np.float64)[: b * n].reshape(b, n)
+        )
         # the unsafe cast truncates: step m picks step floor(u_m * m)
         np.copyto(parent[:b], pick, casting="unsafe")
         parent[:b] += offsets[:b]
@@ -425,9 +434,11 @@ def simulate_terminal(params, n, count, seed, threads=None):
     keeps one generator and resets its state for every trajectory to key
     (seed, i), a zero counter and an empty buffer, so the stream equals
     that of a fresh Philox(key=(seed, i)); one random_raw call per
-    trajectory (per span of 2**14 words) draws its raw words, which
-    numpy's own conversions decode.  Output is ordered by trajectory index
-    regardless of thread scheduling.
+    trajectory (per span of 2**14 words) draws its raw words.  A pick
+    times its step is one multiply of its shifted word, a flip one integer
+    compare of a 32-bit half (see _flip_threshold), bit for bit what
+    Generator.random's uniforms give.  Output is ordered by trajectory
+    index regardless of thread scheduling.
 
     Each worker evaluates its trajectories in blocks of
     max(1, 2**16 // n): step m picks the earlier step floor(u_m * m), so a
@@ -437,8 +448,9 @@ def simulate_terminal(params, n, count, seed, threads=None):
     their roots'.  A worker allocates its buffers once per chunk and
     reuses them for every block; it holds 30 bytes per step of one block
     plus 8 bytes per step of one walk, 8 per trajectory and one span of
-    raw words (measured peak 33.4 bytes per step of one block at
-    n = 1e4): about 2 MB for n <= 2**16, 38 n bytes above.
+    raw words (tracemalloc peaks of 33.4, 34.0 and 39.9 bytes per step of
+    one block at n = 1e4, 200 and 7e4): about 2 MB for n <= 2**16, 38 n
+    bytes above.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

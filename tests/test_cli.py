@@ -169,6 +169,20 @@ def test_simulate_csv_parses_back_to_library_bytes(tmp_path):
     assert parsed.tobytes() == walk.simulate_terminal(params, 150, 400, seed=21).tobytes()
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("a, q, n, count", [(0.8, 0.5, 10_000, 300), (0.7, 0.4, 1, 9)])
+def test_simulate_lines_are_17_digit_samples(tmp_path, a, q, n, count, threads):
+    # each sample is formatted once per distinct value: every data line is
+    # still '%.17g' of its own sample, where most samples are distinct
+    # (n = 1e4) and where all are one of two values (n = 1)
+    out = tmp_path / "s.csv"
+    assert run(["simulate", "--a", str(a), "--q", str(q), "--n", str(n), "--count", str(count),
+                "--seed", "28", "--threads", threads, "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    samples = walk.simulate_terminal(walk.ErwParams.from_a(a, q_first=q), n, count, seed=28)
+    assert lines[lines.index("sample") + 1:] == ["%.17g" % v for v in samples.tolist()]
+
+
 def test_simulate_histogram(tmp_path):
     out = tmp_path / "hist.csv"
     assert run(["simulate", "--p", "0.92", "--q", "1", "--n", "500", "--count", "2000",

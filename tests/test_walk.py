@@ -538,13 +538,32 @@ class TestSimulate:
             assert got.dtype == ref.dtype == np.int64
             assert got.tobytes() == ref.tobytes()
 
+    @staticmethod
+    def _thresholds(flips):
+        # the pinned p, then k 2**-24 for a flip k 2**-24 that Generator.random
+        # drew, so that a uniform equals p, with its float64 and float32
+        # neighbours; each as a Python float, compared in float32, and as a
+        # numpy float64, compared in float64
+        ps = [0.0, 1.0, 1.0 - 2.0**-26] + [walk.ErwParams.from_a(a).p for a in (0.75, 0.8, 0.9)]
+        ks = np.unique(flips * np.float32(2**24)).astype(np.int64)
+        for k in ks[[0, len(ks) // 2, -1]]:
+            p = k * 2.0**-24
+            ps += [p, np.nextafter(p, 0.0), np.nextafter(p, 2.0)]
+            ps += [np.nextafter(np.float32(p), np.float32(d)) for d in (0.0, 2.0)]
+        ps = [float(p) for p in ps]
+        return ps + [np.float64(p) for p in ps]
+
     @pytest.mark.parametrize("n", [1, 200, 201, 12_001])
     def test_decode_matches_generator_random(self, n):
         # three trajectories' raw words, drawn in spans as the chunk draws
         # them (n = 12 001 crosses a span boundary), against numpy's own
-        # Generator.random on the same keys; seed 2**64 - 1 puts the key at
-        # the top of the uint64 range
+        # Generator.random on the same keys: the picks times their step
+        # m, as the reference loop takes them, bit for bit, and the flip
+        # halves below _flip_threshold(p) exactly where the float32
+        # uniforms are below p; seed 2**64 - 1 puts the key at the top of
+        # the uint64 range
         width = n + (n + 1) // 2
+        scaled_times = np.arange(n, dtype=float) * walk._PICK_SCALE
         for seed in (99, 2**64 - 1):
             words = np.empty((3, width), dtype=np.uint64)
             picks = np.empty((3, n))
@@ -558,10 +577,23 @@ class TestSimulate:
                 gen = np.random.Generator(np.random.Philox(key=key))
                 picks[i] = gen.random(n)
                 flips[i] = gen.random(n, dtype=np.float32)
-            got_flips = walk._decode_flips(words[:, n:], n, np.empty((3, n), dtype=np.float32))
-            got_picks = walk._decode_picks(words[:, :n], np.empty((3, n)))
-            assert got_picks.tobytes() == picks.tobytes()
-            assert got_flips.tobytes() == flips.tobytes()
+            halves = walk._halves(words[:, n:], n)
+            for p in self._thresholds(flips):
+                assert np.array_equal(halves < walk._flip_threshold(p), flips < p), p
+            got = walk._decode_picks(words[:, :n], scaled_times, np.empty((3, n)))
+            assert got.tobytes() == (picks * np.arange(n)).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 64])
+    def test_chunk_thresholds_match_reference_loop(self, n):
+        # flips below p and first steps below q_first, at the same p as
+        # the decode test, the drawn ones from trajectory 0's own flips
+        gen = np.random.Generator(np.random.Philox(key=np.array([5, 0], dtype=np.uint64)))
+        gen.random(n)
+        ps = self._thresholds(gen.random(n, dtype=np.float32))
+        for p, q_first in zip(ps, ps[::-1] + ps):
+            got = walk._simulate_chunk(p, q_first, n, 5, 0, 40)
+            ref = _simulate_chunk_reference(p, q_first, n, 5, 0, 40)
+            assert got.tobytes() == ref.tobytes(), (p, q_first)
 
     def test_chunk_refuses_out_of_range_parents(self, monkeypatch):
         # a decode to u in [0, 2) would pick steps beyond the trajectory;
