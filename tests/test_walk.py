@@ -580,8 +580,13 @@ class TestSimulate:
             halves = walk._halves(words[:, n:], n)
             for p in self._thresholds(flips):
                 assert np.array_equal(halves < walk._flip_threshold(p), flips < p), p
-            got = walk._decode_picks(words[:, :n], scaled_times, np.empty((3, n)))
-            assert got.tobytes() == (picks * np.arange(n)).tobytes()
+            # the float product bit for bit, and its truncation to the parent
+            # index the chunk takes
+            want = picks * np.arange(n)
+            got = walk._decode_picks(words.copy(), scaled_times, np.empty((3, n)))
+            assert got.tobytes() == want.tobytes()
+            got = walk._decode_picks(words, scaled_times, np.empty((3, n), dtype=np.intp))
+            assert np.array_equal(got, want.astype(np.intp))
 
     @pytest.mark.parametrize("n", [1, 2, 64])
     def test_chunk_thresholds_match_reference_loop(self, n):
