@@ -71,7 +71,7 @@ def c03_shape_theorems():
     log-concavity flip at the first threshold root; all four roots."""
     all_unimodal = True
     for p in np.arange(0.60, 0.951, 0.05):
-        for row in walk.iter_rows(walk.ErwParams(p=float(p)), 500):
+        for row in walk.iter_rows(walk.ErwParams(p=p), 500):
             if not walk.check_shape(row).unimodal:
                 all_unimodal = False
                 break
@@ -80,7 +80,7 @@ def c03_shape_theorems():
     roots_ok = all(abs(r - t) < 5e-5 for r, t in zip(roots, targets))
 
     def n3_log_concave(a):
-        return walk.check_shape(walk.row_at(walk.ErwParams(p=(1 + a) / 2), 3)).log_concave
+        return walk.check_shape(walk.row_at(walk.ErwParams.from_a(a), 3)).log_concave
 
     flip_ok = n3_log_concave(roots[0] - 1e-4) and not n3_log_concave(roots[0] + 1e-4)
     ok = all_unimodal and roots_ok and flip_ok
@@ -236,8 +236,9 @@ def c08b_density_vs_tail():
 
 def c09_monte_carlo():
     """Sample mean of n^(-a) S_n vs 1/Gamma(1+a) within 3 SE at n = 1e4,
-    and KS distance to the exact scaled CDF at n = 200 under the
-    alpha = 1e-3 bound, for a in {0.75, 0.8, 0.9}."""
+    for a >= 0.8 also its second moment vs E[L^2] within 3 SE, and KS
+    distance to the exact scaled CDF at n = 200 under the alpha = 1e-3
+    bound, for a in {0.75, 0.8, 0.9}."""
     count = 100_000
     ks_bound = 3.0 * math.sqrt(math.log(2.0 / 1e-3) / (2.0 * count))
     details = []

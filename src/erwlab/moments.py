@@ -98,13 +98,18 @@ def moment_sequence(a, n_max):
 
 
 def limit_moment_ln(a, n, table=None):
-    """log E[L1^n] = log(n! m_n / Gamma(1+an))."""
+    """log E[L1^n] = log(n! m_n / Gamma(1+an)); a table given must be that
+    of this a and reach n, else ValueError."""
     if n < 0:
         raise ValueError("moment order must be >= 0")
     if n == 0:
         return 0.0
     if table is None:
         table = moment_sequence(a, max(n, 2))
+    elif table.a != a or n > table.n_max:
+        raise ValueError(
+            f"moment table of a={table.a!r} to n={table.n_max} cannot give order {n} at a={a!r}"
+        )
     ln_m = math.log(table.scaled[n]) + n * math.log(table.rho)
     return gamma_ln(n + 1.0) + ln_m - gamma_ln(1.0 + a * n)
 

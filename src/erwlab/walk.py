@@ -34,7 +34,8 @@ _STEP_BUDGET = 2**31
 
 @dataclass(frozen=True)
 class ErwParams:
-    """Memory parameter p and first-step parameter q_first; a = 2p - 1."""
+    """Memory parameter p and first-step parameter q_first; a = 2p - 1.
+    Both are stored as Python floats: a numpy scalar walks as its value."""
 
     p: float
     q_first: float = 1.0
@@ -44,6 +45,8 @@ class ErwParams:
             raise ValueError(f"memory parameter p must be in [0, 1], got {self.p!r}")
         if not (math.isfinite(self.q_first) and 0.0 <= self.q_first <= 1.0):
             raise ValueError(f"first-step parameter must be in [0, 1], got {self.q_first!r}")
+        object.__setattr__(self, "p", float(self.p))
+        object.__setattr__(self, "q_first", float(self.q_first))
 
     @property
     def a(self):
@@ -51,7 +54,7 @@ class ErwParams:
 
     @classmethod
     def from_a(cls, a, q_first=1.0):
-        return cls(p=(1.0 + a) / 2.0, q_first=q_first)
+        return cls(p=(1.0 + float(a)) / 2.0, q_first=q_first)
 
 
 @dataclass(frozen=True)
@@ -261,7 +264,7 @@ def log_concavity_root(q_index):
 def scaled_density(row, a, x):
     """Finite-n step density of n^(-a) S_n at the points x: height
     n^a P(n,k)/2 on (n^(-a)(2k-n-1), n^(-a)(2k-n+1)], 0 outside the
-    support."""
+    support (at +-inf too); a NaN x raises ValueError."""
     if not (0.5 < a < 1.0):
         raise ValueError(f"scaled_density requires a in (1/2, 1), got {a!r}")
     scale = float(row.n) ** a
@@ -269,6 +272,8 @@ def scaled_density(row, a, x):
     edges = np.concatenate([(s - 1.0), [s[-1] + 1.0]]) / scale
     heights = scale * row.probs / 2.0
     x = np.asarray(x, dtype=float)
+    if np.isnan(x).any():
+        raise ValueError("scaled_density requires numbers x, got nan")
     idx = np.searchsorted(edges, x, side="left") - 1
     inside = (idx >= 0) & (idx < len(heights))
     out = np.zeros_like(x)
@@ -317,12 +322,11 @@ def _halves(words, n):
 
 def _flip_threshold(p):
     """The integer t with h < t exactly where Generator.random(dtype=
-    np.float32) makes a uniform below p from the 32-bit half h.  numpy
-    compares that uniform, (h >> 8) 2**-24, with p in the type
-    np.result_type(np.float32, p): float32(p) for a Python float, which is
-    a weak scalar, p itself for a numpy float64.  For c = ceil(p 2**24) in
-    that type, h >> 8 < c exactly where h < 256 c; the products are exact."""
-    return math.ceil(np.result_type(np.float32, p).type(p) * 2**24) * 256
+    np.float32) makes a uniform below the Python float p from the 32-bit
+    half h.  numpy compares that uniform, (h >> 8) 2**-24, with float32(p);
+    for c = ceil(float32(p) 2**24), h >> 8 < c exactly where h < 256 c.
+    The products are exact."""
+    return 256 * math.ceil(np.float32(p) * 2**24)
 
 
 def _decode_picks(words, scaled_times, out):

@@ -48,6 +48,21 @@ def rho(a, dps=40):
                 / mp.sqrt(mp.pi)) ** aa
 
 
+def hyp2f1(alpha, beta, gamma_c, z, dps=REF_DIGITS):
+    """2F1(alpha, beta; gamma_c; z) for real z < 1 by mp.hyp2f1 at dps digits.
+    Left of z = -1/2 it takes the Pfaff transform exactly, (1 - z)^(-alpha)
+    2F1(alpha, gamma_c - beta; gamma_c; z/(z - 1)): mpmath's own 1/z transform
+    resolves Gamma poles at alpha = beta to thousands of bits there (5 s at
+    alpha = -1.1e-308, beta = -2.7e-247, z = -12.2).  zeroprec lets mpmath
+    return 0 at exact zeros such as (4, 4; 1; -1), where it fails otherwise."""
+    with mp.workdps(dps):
+        al, be, ga, zz = (mp.mpf(x) for x in (alpha, beta, gamma_c, z))
+        zeroprec = 4 * mp.mp.prec
+        if zz >= -0.5:
+            return mp.hyp2f1(al, be, ga, zz, zeroprec=zeroprec)
+        return (1 - zz) ** -al * mp.hyp2f1(al, ga - be, ga, zz / (zz - 1), zeroprec=zeroprec)
+
+
 def f_kernel(a, z, dps=40):
     """F(z) = z^(-1-1/a)/(a+1) 2F1(1/2, 1/2+1/(2a); 3/2+1/(2a); -1/z^2)."""
     with mp.workdps(dps):

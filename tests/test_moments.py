@@ -97,6 +97,16 @@ class TestLimitMoment:
         with pytest.raises(ValueError, match="moment order must be >= 0"):
             moments.limit_moment_ln(0.7, -1)
 
+    def test_refuses_a_table_of_another_a_or_too_short(self):
+        # a table of a = 0.9 read at a = 0.6 gave 1.4469 for log E[L^3]
+        # (2.6614 is right), and an order past the table an IndexError
+        table = moments.moment_sequence(0.9, 5)
+        assert moments.limit_moment_ln(0.9, 5, table) == moments.limit_moment_ln(0.9, 5)
+        with pytest.raises(ValueError, match="moment table of a=0.9"):
+            moments.limit_moment_ln(0.6, 3, table)
+        with pytest.raises(ValueError, match="cannot give order 6"):
+            moments.limit_moment_ln(0.9, 6, table)
+
 
 class TestRho:
     def test_frozen_value(self):

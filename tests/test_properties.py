@@ -29,7 +29,8 @@ from numpy.testing import assert_allclose  # noqa: E402
 
 from erwlab import emit, limitlaw, moments, specfun, walk  # noqa: E402
 from erwlab.errors import ConvergenceError, ErwLabError  # noqa: E402
-from oracles import assert_same_report, check_shape_reference  # noqa: E402
+from oracles import (  # noqa: E402
+    assert_same_report, assert_within_bar, check_shape_reference, f_kernel, hyp2f1)
 
 deterministic = settings(derandomize=True, database=None, deadline=None)
 
@@ -67,6 +68,38 @@ def test_f_eval_continuous_across_regime_switch(a):
         hyp = specfun.f_eval(a, z, method="hypergeometric")
         ser = specfun.f_eval(a, z, method="series")
         assert abs(hyp.value - ser.value) <= hyp.abs_error_estimate + ser.abs_error_estimate
+
+
+@deterministic
+@given(
+    alpha=st.floats(-4.0, 4.0),
+    beta=st.floats(-4.0, 4.0),
+    gamma_c=st.floats(0.05, 6.0),
+    z=st.floats(-30.0, 0.95),
+)
+@example(alpha=4.0, beta=4.0, gamma_c=1.0, z=-1.0)  # an exact zero
+def test_hyp2f1_within_its_bar_or_typed_error(alpha, beta, gamma_c, z):
+    try:
+        got = specfun.hyp2f1(alpha, beta, gamma_c, z)
+    except ErwLabError:
+        return
+    assert math.isfinite(got.value) and math.isfinite(got.abs_error_estimate)
+    assert_within_bar(got.value, got.abs_error_estimate, hyp2f1(alpha, beta, gamma_c, z))
+
+
+@deterministic
+@given(
+    a=st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
+    z=st.floats(1e-3, 100.0),
+    method=st.sampled_from(["auto", "hypergeometric", "series"]),
+)
+def test_f_eval_within_its_bar_or_typed_error(a, z, method):
+    try:
+        got = specfun.f_eval(a, z, method=method)
+    except ErwLabError:
+        return
+    assert math.isfinite(got.value) and math.isfinite(got.abs_error_estimate)
+    assert_within_bar(got.value, got.abs_error_estimate, f_kernel(a, z))
 
 
 @deterministic
