@@ -96,6 +96,7 @@ def genfun(a, x):
     r = rho(a)
     if not (0.0 < x < 1.0 / r - 1e-12):
         raise ValueError(f"genfun requires 0 < x < 1/rho - 1e-12, got x={x!r}")
+    a, x = float(a), float(x)
     g = f_inverse(a, x ** (-1.0 / a) - rho_root(a))
     ratio = g / x
     b = x * ratio ** ((a + 1.0) / a)
@@ -113,6 +114,9 @@ def residuals(a, x, h_scale=1.0):
     r = rho(a)
     if not (0.0 < x < 0.95 / r):
         raise ValueError(f"residuals requires 0 < x < 0.95/rho, got x={x!r}")
+    if not (h_scale > 0.0):
+        raise ValueError(f"residuals requires h_scale > 0, got {h_scale!r}")
+    a, x, h_scale = float(a), float(x), float(h_scale)
     p = (1.0 + a) / 2.0
     h1 = _H_FIRST * x * h_scale
     h2 = _H_SECOND * x * h_scale
@@ -176,9 +180,12 @@ def _omega_sums(ln_b, ln_size, u):
     summed with a factored maximum so intermediate magnitudes stay
     representable."""
     ns = np.arange(len(ln_b), dtype=float)
-    if u == 0.0:
-        return 1.0, math.exp(ln_b[1]), 2.0 * math.exp(ln_b[2]), 0.0, _EPS
     au = abs(u)
+    # below |u| = 1e-100 every term past the first of each sum is below
+    # 1e-90 of it, so the sums round to their values at u = 0; the factored
+    # sums would divide terms that left the normal range by u^2
+    if au < 1e-100:
+        return 1.0, math.exp(ln_b[1]), 2.0 * math.exp(ln_b[2]), 0.0, _EPS
     ln_t = ln_b + ns * math.log(au)
     peak = float(ln_t.max())
     if peak > _LOG_MAX:
@@ -213,6 +220,7 @@ def psi_mgf(a, r, precision_digits=0):
     if precision_digits < 0:
         raise ValueError(f"psi_mgf requires precision_digits >= 0, got {precision_digits}")
     rh = rho(a)
+    a, r = float(a), float(r)
     # u in logs, so that no power overflows before the test
     if r != 0.0 and math.log(rh * abs(r)) / a > _LN_U_MAX:
         raise SeriesOverflowError(f"Psi({r:g}) at a={a:g} overflows double precision")
@@ -222,7 +230,8 @@ def psi_mgf(a, r, precision_digits=0):
         return _psi_mgf_hp(a, r, precision_digits, n_max)
 
     ln_s = np.log(moment_sequence(a, n_max).scaled)
-    ln_g = np.array([gamma_ln(1.0 + a * n) for n in range(n_max + 1)])
+    # 1 + a n >= 1: gamma_ln's domain check would pass every term
+    ln_g = np.array([math.lgamma(1.0 + a * n) for n in range(n_max + 1)])
     # each term carries its own rounding, plus that of the three logarithms
     # it is built from (ln m_n, ln Gamma(1+an), n ln|u|), eps times their size
     ln_size = 1.0 + np.abs(ln_s) + np.abs(ln_g)
@@ -332,6 +341,7 @@ def eta_asymptote(a, r):
         raise ValueError("eta_asymptote requires a in (1/2, 1)")
     if not (r > 0.0):
         raise ValueError("eta_asymptote requires r > 0")
+    a, r = float(a), float(r)
     return math.sqrt(1.0 - a) * r ** (1.0 / (2.0 * a) - 1.0) / a
 
 
@@ -351,6 +361,7 @@ def asymptote(ctx, side, q=1.0):
         raise ValueError(f"unknown side {side!r}")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"first-step parameter q must be in [0, 1], got {q!r}")
+    q = float(q)
     a = ctx.a
     stretch = (1.0 - a) * (a**a / ctx.rho) ** (1.0 / (1.0 - a))
     stretch_power = 1.0 / (1.0 - a)
@@ -374,6 +385,7 @@ def tail(ctx, x, side, q=1.0, log=False):
     or 0 with log=False; a value above the double range raises
     SeriesOverflowError unless log=True."""
     _check_x("tail", x)
+    x = float(x)
     rec = asymptote(ctx, side, q)
     try:
         stretched = x**rec.stretch_power
@@ -393,6 +405,7 @@ def tail_ratio(ctx, x):
     evaluated independently of the two prefactors (the stretch terms
     cancel); SeriesOverflowError where x^(2a/(1-a^2)) overflows."""
     _check_x("tail_ratio", x)
+    x = float(x)
     a = ctx.a
     power = 2.0 * a / (1.0 - a * a)
     const = (

@@ -39,6 +39,7 @@ def rho(a):
     """Exponential growth rate of {m_n} (Gamma-product form), a > 1/2."""
     if not (0.5 < a <= 10.0):
         raise ValueError(f"rho requires a in (1/2, 10], got {a!r}")
+    a = float(a)
     return rho_root(a) ** a
 
 
@@ -53,6 +54,7 @@ def rho_integral(a):
     """
     if not (0.5 < a < 1.0):
         raise ValueError(f"rho_integral requires a in (1/2, 1), got {a!r}")
+    a = float(a)
     h = hyp2f1(0.5, -0.5 / a, 1.0 - 0.5 / a, -0.25).value
     f = f_eval(a, 0.5, method="quadrature").value
     return (2.0 ** (1.0 / a) * h - f) ** a
@@ -84,17 +86,23 @@ def moment_sequence(a, n_max):
     _check_a(a)
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
+    a = float(a)
     r = rho(a)
-    mt = np.zeros(n_max + 1)  # c * mt below reads every entry
-    mt[0] = 1.0
-    mt[1] = 1.0 / r
-    c = np.where(np.arange(n_max + 1) % 2 == 0, 1.0, a)
-    cm = c * mt  # c_i * m_i, filled as we go
+    # the table last-first, rev[n_max - i] = m_i, so that m_{n-1} .. m_1 is
+    # a contiguous slice: np.dot hands it to ddot as it is, where a
+    # negative-stride view is copied first, and sums the same products in
+    # the same order
+    rev = np.empty(n_max + 1)
+    cm = np.empty(n_max + 1)  # c_i m_i, from i = 1
+    rev[n_max] = 1.0
+    rev[n_max - 1] = m = 1.0 / r
+    cm[1] = a * m
     for n in range(2, n_max + 1):
-        s = np.dot(cm[1:n], mt[n - 1:0:-1])
-        mt[n] = s / (n * a - c[n])
-        cm[n] = c[n] * mt[n]
-    return MomentTable(a=a, n_max=n_max, rho=r, scaled=mt)
+        cn = a if n % 2 else 1.0
+        m = float(np.dot(cm[1:n], rev[n_max - n + 1:n_max])) / (n * a - cn)
+        rev[n_max - n] = m
+        cm[n] = cn * m
+    return MomentTable(a=a, n_max=n_max, rho=r, scaled=rev[::-1].copy())
 
 
 def limit_moment_ln(a, n, table=None):
@@ -110,6 +118,7 @@ def limit_moment_ln(a, n, table=None):
         raise ValueError(
             f"moment table of a={table.a!r} to n={table.n_max} cannot give order {n} at a={a!r}"
         )
+    a = float(a)
     ln_m = math.log(table.scaled[n]) + n * math.log(table.rho)
     return gamma_ln(n + 1.0) + ln_m - gamma_ln(1.0 + a * n)
 
@@ -146,6 +155,7 @@ def context(a):
               / (sqrt(2 pi (1-a)) 2 (a+1)^delta Gamma(delta)).
     """
     _check_a(a)
+    a = float(a)
     r = rho(a)
     delta = (1.0 - a) / (1.0 + a)
     kappa = (r ** (2.0 / (a + 1.0)) / 4.0) * ((a + 1.0) / a) ** (2.0 * a / (a + 1.0))

@@ -81,6 +81,10 @@ def hyp2f1(alpha, beta, gamma_c, z):
         raise ValueError("2F1 undefined for nonpositive-integer third parameter")
     if z >= 1.0:
         raise ValueError("real-branch 2F1 requires z < 1")
+    # float() would parse a str, which the checks above refuse for gamma_c and z
+    if isinstance(alpha, str) or isinstance(beta, str):
+        raise TypeError("2F1 parameters must be real numbers")
+    alpha, beta, gamma_c, z = float(alpha), float(beta), float(gamma_c), float(z)
     if z < -0.5:
         inner = hyp2f1(alpha, gamma_c - beta, gamma_c, z / (z - 1.0))
         scale = (1.0 - z) ** (-alpha)
@@ -103,9 +107,10 @@ def hyp2f1(alpha, beta, gamma_c, z):
         t = total + y
         comp = (t - total) - y
         total = t
-        abs_sum += abs(term)
-        if abs(term) <= _TERM_CUT * abs(total) and n >= 3:
-            err = abs(term) + _series_loss(abs_sum, n + 1)
+        size = abs(term)
+        abs_sum += size
+        if size <= _TERM_CUT * abs(total) and n >= 3:
+            err = size + _series_loss(abs_sum, n + 1)
             return SeriesEval(total + comp, err, n + 1, "series")
     raise ConvergenceError(f"2F1 series did not converge within {_MAX_TERMS} terms")
 
@@ -179,6 +184,7 @@ def mittag_leffler(alpha, z, precision_digits=0):
         raise ValueError("mittag_leffler requires finite z")
     if precision_digits < 0:
         raise ValueError(f"mittag_leffler requires precision_digits >= 0, got {precision_digits}")
+    alpha, z = float(alpha), float(z)
     if precision_digits > 0:
         return _prabhakar_hp(alpha, 1.0, 1.0, z, precision_digits)
 
@@ -206,6 +212,7 @@ def prabhakar(alpha, beta, gamma_p, z, precision_digits=0):
         raise ValueError("prabhakar requires finite z")
     if precision_digits < 0:
         raise ValueError(f"prabhakar requires precision_digits >= 0, got {precision_digits}")
+    alpha, beta, gamma_p, z = float(alpha), float(beta), float(gamma_p), float(z)
     if precision_digits > 0:
         return _prabhakar_hp(alpha, beta, gamma_p, z, precision_digits)
     ln_first = -gamma_ln(beta)
@@ -287,6 +294,7 @@ def prabhakar_ln(alpha, beta, gamma_p, z):
         raise ValueError("prabhakar_ln requires alpha, beta, gamma > 0")
     if not (z > 0.0):
         raise ValueError("prabhakar_ln requires z > 0")
+    alpha, beta, gamma_p, z = float(alpha), float(beta), float(gamma_p), float(z)
     ln_z = math.log(z)
     # the terms peak near n = (u - beta) / alpha with width sqrt(u) / alpha,
     # and the -45 cut falls about sqrt(90) = 9.5 widths past the peak: a cap
@@ -325,6 +333,7 @@ def rho_root(a):
     """rho_a^(1/a) = Gamma(1/2 + 1/(2a)) Gamma(1 - 1/(2a)) / sqrt(pi), a > 1/2."""
     if not (a > 0.5):
         raise ValueError("rho_root requires a > 1/2")
+    a = float(a)
     return math.exp(
         gamma_ln(0.5 + 0.5 / a) + gamma_ln(1.0 - 0.5 / a) - 0.5 * math.log(math.pi)
     )
@@ -397,6 +406,7 @@ def f_eval(a, z, method="auto"):
         raise ValueError("f_eval requires a in (1/2, 1)")
     if not (z > 0.0):
         raise ValueError("f_eval requires z > 0")
+    a, z = float(a), float(z)
     # z^(-1/a) - rho^(1/a) < F(z) < z^(-1/a) (see f_inverse), so F is past
     # the double range exactly when z^(-1/a) is, up to a unit roundoff
     try:
@@ -424,7 +434,12 @@ def f_eval(a, z, method="auto"):
 
 
 def f_derivative(a, z):
-    """Exact derivative F'(z) = -(1/a) z^(-1-1/a) / sqrt(1+z^2)."""
+    """Exact derivative F'(z) = -(1/a) z^(-1-1/a) / sqrt(1+z^2), a in (1/2, 1), z > 0."""
+    if not (0.5 < a < 1.0):
+        raise ValueError("f_derivative requires a in (1/2, 1)")
+    if not (z > 0.0):
+        raise ValueError("f_derivative requires z > 0")
+    a, z = float(a), float(z)
     return -(1.0 / a) * z ** (-1.0 - 1.0 / a) / math.sqrt(1.0 + z * z)
 
 
@@ -442,6 +457,7 @@ def f_inverse(a, y):
         raise ValueError("f_inverse requires a in (1/2, 1)")
     if not (y > 0.0):
         raise ValueError("f_inverse requires y > 0")
+    a, y = float(a), float(y)
     # z^(-1/a) - rho^(1/a) < F(z) < min(z^(-1/a), z^(-1-1/a)/(a+1)): bound
     # (1+u^2)^(-1/2) by 1 and by 1/u; the left side is the rho_integral identity
     lo = (y + rho_root(a)) ** (-a)

@@ -130,6 +130,23 @@ def assert_same_report(got, want):
         assert type(g) is type(w) and g == w, (field.name, g, w)
 
 
+def moment_sequence_reference(a, n_max):
+    """rho-scaled moments m_0 .. m_n_max in doubles, each step one np.dot of
+    c_i m_i with m_{n-1} .. m_1 read through a negative-stride view: the
+    former loop of moments.moment_sequence, kept as the oracle for its
+    last-first table."""
+    mt = np.zeros(n_max + 1)
+    mt[0] = 1.0
+    mt[1] = 1.0 / moments.rho(a)
+    c = np.where(np.arange(n_max + 1) % 2 == 0, 1.0, a)
+    cm = c * mt
+    for n in range(2, n_max + 1):
+        s = np.dot(cm[1:n], mt[n - 1:0:-1])
+        mt[n] = s / (n * a - c[n])
+        cm[n] = c[n] * mt[n]
+    return mt
+
+
 def moments_hp_reference(aa, rho_mp, n_max):
     """rho-scaled moments by the unpaired convolution, one fsum over all
     n - 1 products c_i m_i m_{n-i}: the former loop of

@@ -129,6 +129,9 @@ class TestResiduals:
     def test_domain(self):
         with pytest.raises(ValueError):
             limitlaw.residuals(0.7, 0.96 / moments.rho(0.7))
+        # a zero step would divide by zero
+        with pytest.raises(ValueError, match="h_scale > 0"):
+            limitlaw.residuals(0.7, 0.5 / moments.rho(0.7), h_scale=0.0)
 
 
 class TestPsiMgf:
@@ -139,6 +142,13 @@ class TestPsiMgf:
         assert v.omega == 1.0
         # xi(0) = E[X] = -E[L1]/rho with X = -L1/rho
         assert_allclose(v.xi, -moments.limit_moment(a, 1) / moments.rho(a), rtol=1e-12)
+
+    @pytest.mark.parametrize("r", [1e-300, -1e-200, 1e-160])
+    def test_tiny_r_gives_the_values_at_zero(self, r):
+        # u^2 leaves the normal range here: the factored sums divided by it
+        # (ZeroDivisionError at 1e-200, eta off by 4e-4 at 1e-160)
+        want = dataclasses.replace(limitlaw.psi_mgf(0.75, 0.0), r=r)
+        assert limitlaw.psi_mgf(0.75, r) == want
 
     def test_growth_ratio(self):
         a = 0.75

@@ -44,6 +44,12 @@ class TestMomentSequence:
             got = t.scaled * t.rho ** np.arange(51)
             assert_allclose(got, raw, rtol=1e-12)
 
+    @pytest.mark.parametrize("a", [0.5 + 2e-6, 0.6, 2.0 / 3.0, 0.75, 0.9, 1.0 - 1e-9])
+    def test_bytes_of_the_strided_loop(self, a):
+        for n_max in (2, 3, 4, 31, 400, 5000):
+            got = moments.moment_sequence(a, n_max).scaled
+            assert got.tobytes() == oracles.moment_sequence_reference(a, n_max).tobytes()
+
     def test_positivity(self):
         t = moments.moment_sequence(0.6, 2000)
         assert np.all(t.scaled > 0.0)

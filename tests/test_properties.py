@@ -1,7 +1,9 @@
 """Property tests: regime switches are seamless, exact rows are laws,
 check_shape agrees with its loop oracle, the 17-digit CSV/JSON floats
-round-trip, a CSV's one line format gives fmt's bytes and the public numeric calls give a finite value or a typed
-error at both ends of the window a in (1/2, 1).
+round-trip, a CSV's one line format gives fmt's bytes, the public numeric
+calls give a finite value or a typed error at both ends of the window
+a in (1/2, 1) and the bytes of a Python float for a numpy scalar argument,
+and psi_mgf's double-precision sums lie within their bars.
 
 Examples are derived from the test source (derandomize) and no example
 database is written, so every run checks the same cases.  Hypothesis
@@ -28,9 +30,9 @@ from hypothesis import strategies as st  # noqa: E402
 from numpy.testing import assert_allclose  # noqa: E402
 
 from erwlab import emit, limitlaw, moments, specfun, walk  # noqa: E402
-from erwlab.errors import ConvergenceError, ErwLabError  # noqa: E402
+from erwlab.errors import ConvergenceError, ErwLabError, SeriesOverflowError  # noqa: E402
 from oracles import (  # noqa: E402
-    assert_same_report, assert_within_bar, check_shape_reference, f_kernel, hyp2f1)
+    assert_same_report, assert_within_bar, check_shape_reference, f_kernel, hyp2f1, psi_mgf_sums)
 
 deterministic = settings(derandomize=True, database=None, deadline=None)
 
@@ -247,3 +249,75 @@ def test_public_calls_finite_or_typed_error_at_window_edges(a):
             continue
         values = _floats(value)
         assert values and all(math.isfinite(v) for v in values), value
+
+
+# every public function of specfun, moments and limitlaw that takes a real
+# argument, with values for those arguments
+_REAL_ARGUMENT_CALLS = {
+    "gamma_ln": (specfun.gamma_ln, (0.7,)),
+    "hyp2f1": (specfun.hyp2f1, (0.5, 0.3, 1.7, -0.7)),
+    "mittag_leffler": (specfun.mittag_leffler, (0.7, -2.5)),
+    "prabhakar": (specfun.prabhakar, (0.7, 1.3, 0.6, 2.5)),
+    "prabhakar_ln": (specfun.prabhakar_ln, (0.7, 1.3, 0.6, 40.0)),
+    "rho_root": (specfun.rho_root, (0.7,)),
+    "f_eval": (specfun.f_eval, (0.7, 0.7)),
+    "f_derivative": (specfun.f_derivative, (0.7, 0.7)),
+    "f_inverse": (specfun.f_inverse, (0.7, 2.5)),
+    "rho": (moments.rho, (0.7,)),
+    "rho_integral": (moments.rho_integral, (0.7,)),
+    "moment_sequence": (lambda a: moments.moment_sequence(a, 40), (0.7,)),
+    "limit_moment_ln": (lambda a: moments.limit_moment_ln(a, 7), (0.7,)),
+    "limit_moment": (lambda a: moments.limit_moment(a, 7), (0.7,)),
+    "context": (moments.context, (0.7,)),
+    "genfun": (limitlaw.genfun, (0.7, 0.2)),
+    "residuals": (limitlaw.residuals, (0.7, 0.2, 1.3)),
+    "psi_mgf": (limitlaw.psi_mgf, (0.7, -1.5)),
+    "eta_asymptote": (limitlaw.eta_asymptote, (0.7, 2.5)),
+    "asymptote": (lambda q: limitlaw.asymptote(moments.context(0.7), "positive", q), (0.3,)),
+    "tail": (lambda x, q: limitlaw.tail(moments.context(0.7), x, "positive", q), (2.5, 0.3)),
+    "tail_ratio": (lambda x: limitlaw.tail_ratio(moments.context(0.7), x), (2.5,)),
+}
+
+
+def _typed_bytes(value):
+    """A result as types and bytes: a dataclass field by field, an array's
+    dtype and bytes, any other value's type and, for a float, its bytes."""
+    if dataclasses.is_dataclass(value):
+        return [_typed_bytes(getattr(value, f.name)) for f in dataclasses.fields(value)]
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.tobytes()
+    if isinstance(value, float):
+        return type(value).__name__, struct.pack("<d", value)
+    return type(value).__name__, value
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", list(_REAL_ARGUMENT_CALLS))
+def test_numpy_scalar_arguments_give_the_bytes_of_their_value(name, dtype):
+    # a float32 argument computed in float32 voids every bar, and a numpy
+    # float64 one returns numpy scalars; both compute as the Python float
+    # of their value
+    call, args = _REAL_ARGUMENT_CALLS[name]
+    scalars = [dtype(v) for v in args]
+    assert _typed_bytes(call(*scalars)) == _typed_bytes(call(*map(float, scalars)))
+
+
+def test_numpy_scalar_beyond_the_double_range_raises_the_typed_error():
+    # numpy's own power would overflow with a RuntimeWarning
+    with pytest.raises(SeriesOverflowError, match="exceeds the double range"):
+        specfun.f_eval(0.7, np.float64(1e-300))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(a=st.floats(0.55, 0.95), r=st.floats(-10.0, 10.0))
+@example(a=0.55, r=-10.0)
+@example(a=0.95, r=10.0)
+@example(a=0.75, r=9.86141619660524e-297)  # u^2 underflows to 0
+def test_psi_mgf_within_its_bars_or_typed_error(a, r):
+    try:
+        got = limitlaw.psi_mgf(a, r)
+    except ErwLabError:
+        return
+    psi, omega = psi_mgf_sums(a, r, 20)[:2]
+    assert_within_bar(got.psi, got.error_estimate, psi)
+    assert_within_bar(got.omega, got.omega_error_estimate, omega)

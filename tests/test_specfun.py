@@ -92,6 +92,9 @@ class TestHyp2F1:
             specfun.hyp2f1(1.0, 1.0, -2.0, 0.5)
         with pytest.raises(ValueError):
             specfun.hyp2f1(1.0, 1.0, 2.0, 1.0)
+        # float() would parse a str alpha, which no check refuses
+        with pytest.raises(TypeError):
+            specfun.hyp2f1("0.5", 0.3, 1.7, -0.7)
 
 
 def _assert_within_bar(got, ref):
@@ -464,6 +467,11 @@ class TestFKernel:
             specfun.f_eval(0.7, 1.0, method="nope")
         with pytest.raises(ValueError, match="rho_root requires a > 1/2"):
             specfun.rho_root(0.5)
+        # F' at z < 0 would be a complex power
+        with pytest.raises(ValueError, match="f_derivative requires z > 0"):
+            specfun.f_derivative(0.75, -1.0)
+        with pytest.raises(ValueError, match="f_derivative requires a in"):
+            specfun.f_derivative(1.5, 1.0)
 
 
 class TestFInverse:
