@@ -230,8 +230,9 @@ def psi_mgf(a, r, precision_digits=0):
         return _psi_mgf_hp(a, r, precision_digits, n_max)
 
     ln_s = np.log(moment_sequence(a, n_max).scaled)
-    # 1 + a n >= 1: gamma_ln's domain check would pass every term
-    ln_g = np.array([math.lgamma(1.0 + a * n) for n in range(n_max + 1)])
+    # 1 + a n >= 1: gamma_ln's domain check would pass every term; numpy's
+    # product and sum round as Python's do, so each argument is the same
+    ln_g = np.array(list(map(math.lgamma, (1.0 + a * np.arange(n_max + 1.0)).tolist())))
     # each term carries its own rounding, plus that of the three logarithms
     # it is built from (ln m_n, ln Gamma(1+an), n ln|u|), eps times their size
     ln_size = 1.0 + np.abs(ln_s) + np.abs(ln_g)

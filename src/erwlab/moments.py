@@ -26,6 +26,9 @@ from .specfun import f_eval, gamma_ln, hyp2f1, rho_root
 # m_2 = a/(2a-1) blows up at the diffusive boundary; the artifact refuses
 # to operate closer than this
 _A_MIN = 0.5 + 1e-6
+# OpenBLAS sums a longer dot in per-thread parts, so its bits would follow
+# the BLAS thread count
+_DOT_MAX = 10_000
 
 
 def _check_a(a):
@@ -89,7 +92,7 @@ def moment_sequence(a, n_max):
     a = float(a)
     r = rho(a)
     # the table last-first, rev[n_max - i] = m_i, so that m_{n-1} .. m_1 is
-    # a contiguous slice: np.dot hands it to ddot as it is, where a
+    # a contiguous slice: dot hands it to ddot as it is, where a
     # negative-stride view is copied first, and sums the same products in
     # the same order
     rev = np.empty(n_max + 1)
@@ -97,10 +100,22 @@ def moment_sequence(a, n_max):
     rev[n_max] = 1.0
     rev[n_max - 1] = m = 1.0 / r
     cm[1] = a * m
-    for n in range(2, n_max + 1):
+    for n in range(2, min(n_max, _DOT_MAX + 1) + 1):
         cn = a if n % 2 else 1.0
-        m = float(np.dot(cm[1:n], rev[n_max - n + 1:n_max])) / (n * a - cn)
+        m = float(cm[1:n].dot(rev[n_max - n + 1:n_max])) / (n * a - cn)
         rev[n_max - n] = m
+        cm[n] = cn * m
+    # a dot of more than _DOT_MAX terms is taken as ordered chunks of at
+    # most _DOT_MAX, summed left to right
+    for n in range(_DOT_MAX + 2, n_max + 1):
+        cn = a if n % 2 else 1.0
+        off = n_max - n
+        s = 0.0
+        for i in range(1, n, _DOT_MAX):
+            j = min(i + _DOT_MAX, n)
+            s += float(cm[i:j].dot(rev[off + i:off + j]))
+        m = s / (n * a - cn)
+        rev[off] = m
         cm[n] = cn * m
     return MomentTable(a=a, n_max=n_max, rho=r, scaled=rev[::-1].copy())
 

@@ -19,7 +19,10 @@ Everything here is scalar double-precision with explicit error reporting:
 
 Evaluators that sum a series return a SeriesEval carrying the value, an
 error estimate (first omitted term plus a cancellation bound), the number
-of terms, and the regime that produced the value.
+of terms, and the regime that produced the value.  Each public function
+checks and converts its arguments once; the private 2F1 and F kernels take
+those floats and return plain (value, bar, terms, method) tuples, which the
+public function wraps in one SeriesEval.
 """
 
 import math
@@ -84,34 +87,37 @@ def hyp2f1(alpha, beta, gamma_c, z):
     # float() would parse a str, which the checks above refuse for gamma_c and z
     if isinstance(alpha, str) or isinstance(beta, str):
         raise TypeError("2F1 parameters must be real numbers")
-    alpha, beta, gamma_c, z = float(alpha), float(beta), float(gamma_c), float(z)
+    return SeriesEval(*_hyp2f1(float(alpha), float(beta), float(gamma_c), float(z)))
+
+
+def _hyp2f1(alpha, beta, gamma_c, z):
+    """hyp2f1 on checked floats, as (value, bar, terms, method)."""
     if z < -0.5:
-        inner = hyp2f1(alpha, gamma_c - beta, gamma_c, z / (z - 1.0))
+        # gamma_c passed the check, and z/(z-1) lies in (1/3, 1)
+        value, bar, terms, _ = _hyp2f1(alpha, gamma_c - beta, gamma_c, z / (z - 1.0))
         scale = (1.0 - z) ** (-alpha)
-        return SeriesEval(
-            value=scale * inner.value,
-            abs_error_estimate=abs(scale) * inner.abs_error_estimate,
-            terms_used=inner.terms_used,
-            method="series-pfaff",
-        )
+        return scale * value, abs(scale) * bar, terms, "series-pfaff"
+    cut = _TERM_CUT
     term = 1.0
     total = 1.0
     comp = 0.0
     abs_sum = 1.0
+    k = 0.0  # n as a float: every n below 2**53 converts exactly
     for n in range(_MAX_TERMS):
-        term *= (alpha + n) * (beta + n) / ((gamma_c + n) * (n + 1.0)) * z
+        k1 = k + 1.0
+        term *= (alpha + k) * (beta + k) / ((gamma_c + k) * k1) * z
         if term == 0.0:
             # terminating (polynomial) case
-            return SeriesEval(total + comp, _series_loss(abs_sum, n + 1), n + 1, "series")
+            return total + comp, _series_loss(abs_sum, n + 1), n + 1, "series"
         y = term - comp
         t = total + y
         comp = (t - total) - y
         total = t
         size = abs(term)
         abs_sum += size
-        if size <= _TERM_CUT * abs(total) and n >= 3:
-            err = size + _series_loss(abs_sum, n + 1)
-            return SeriesEval(total + comp, err, n + 1, "series")
+        if size <= cut * abs(total) and n >= 3:
+            return total + comp, size + _series_loss(abs_sum, n + 1), n + 1, "series"
+        k = k1
     raise ConvergenceError(f"2F1 series did not converge within {_MAX_TERMS} terms")
 
 
@@ -252,8 +258,9 @@ def _prabhakar_hp(alpha, beta, gamma_p, z, digits):
             while True:
                 term = coef / mp.gamma(be + al * n)
                 total += term
-                largest = max(largest, abs(term))
-                if n > 4 and abs(term) < cut * abs(total):
+                size = abs(term)
+                largest = max(largest, size)
+                if n > 4 and size < cut * abs(total):
                     break
                 coef *= zz * (ga + n) / (n + 1)
                 n += 1
@@ -263,7 +270,7 @@ def _prabhakar_hp(alpha, beta, gamma_p, z, digits):
             # x |ln x| from Gamma's argument x, each partial sum at most
             # n + 1 terms: bound them all by the largest term
             x = beta + alpha * n
-            err = largest * mp.eps * (n + 1) * (5 * n + x * abs(math.log(x)) + 8) + abs(term)
+            err = largest * mp.eps * (n + 1) * (5 * n + x * abs(math.log(x)) + 8) + size
             allowed = abs(total) * mp.mpf(10) ** (-digits)
             if err <= allowed:
                 value = float(total)
@@ -334,8 +341,10 @@ def rho_root(a):
     if not (a > 0.5):
         raise ValueError("rho_root requires a > 1/2")
     a = float(a)
+    # for every a > 1/2, inf included, the arguments lie in [1/2, 3/2) and
+    # (0, 1]: gamma_ln's domain check would pass both
     return math.exp(
-        gamma_ln(0.5 + 0.5 / a) + gamma_ln(1.0 - 0.5 / a) - 0.5 * math.log(math.pi)
+        math.lgamma(0.5 + 0.5 / a) + math.lgamma(1.0 - 0.5 / a) - 0.5 * math.log(math.pi)
     )
 
 
@@ -370,22 +379,23 @@ def _f_series(a, z):
             f"to 1, where 2F1 does not converge; use method='hypergeometric'"
         )
     b = 0.5 + 0.5 / a
-    h = hyp2f1(0.5, b, b + 1.0, -1.0 / (z * z))
+    h, h_bar, terms, _ = _hyp2f1(0.5, b, b + 1.0, -1.0 / (z * z))
     scale = z ** (-1.0 - 1.0 / a) / (a + 1.0)
-    err = scale * (h.abs_error_estimate + 4 * _EPS * abs(h.value))
-    return SeriesEval(scale * h.value, err, h.terms_used, "series")
+    err = scale * (h_bar + 4 * _EPS * abs(h))
+    return scale * h, err, terms, "series"
 
 
 def _f_hyp(a, z):
     rr = rho_root(a)
+    # c lies in (0, 1/2) for a in (1/2, 1), so _hyp2f1 needs no check
     c = 1.0 - 0.5 / a
-    h = hyp2f1(0.5, -0.5 / a, c, -z * z)
+    h, h_bar, terms, _ = _hyp2f1(0.5, -0.5 / a, c, -z * z)
     scale = z ** (-1.0 / a)
-    value = -rr + scale * h.value
+    value = -rr + scale * h
     # c is rounded by about eps, a relative error eps/c in both terms,
     # which grow like 1/c and cancel as a -> 1/2
-    err = scale * h.abs_error_estimate + 4 * _EPS * (scale * abs(h.value) + rr) * (1.0 + 1.0 / c)
-    return SeriesEval(value, err, h.terms_used, "hypergeometric")
+    err = scale * h_bar + 4 * _EPS * (scale * abs(h) + rr) * (1.0 + 1.0 / c)
+    return value, err, terms, "hypergeometric"
 
 
 def f_eval(a, z, method="auto"):
@@ -416,21 +426,20 @@ def f_eval(a, z, method="auto"):
     if method == "quadrature":
         return _f_quadrature(a, z)
     if method == "series":
-        return _f_series(a, z)
+        return SeriesEval(*_f_series(a, z))
     if method == "hypergeometric":
-        return _f_hyp(a, z)
+        return SeriesEval(*_f_hyp(a, z))
     if method != "auto":
         raise ValueError(f"unknown f_eval method {method!r}")
     primary = _f_series(a, z) if z > 1.1 else _f_hyp(a, z)
     if 1.02 <= z <= 1.2:
-        other = _f_hyp(a, z) if z > 1.1 else _f_series(a, z)
-        gap = abs(primary.value - other.value)
-        if gap > primary.abs_error_estimate + other.abs_error_estimate:
+        value, bar = primary[:2]
+        other, other_bar = (_f_hyp(a, z) if z > 1.1 else _f_series(a, z))[:2]
+        if abs(value - other) > bar + other_bar:
             raise ConsistencyError(
-                f"F regimes disagree at a={a:g}, z={z:g}: "
-                f"{primary.value!r} vs {other.value!r}"
+                f"F regimes disagree at a={a:g}, z={z:g}: {value!r} vs {other!r}"
             )
-    return primary
+    return SeriesEval(*primary)
 
 
 def f_derivative(a, z):

@@ -130,18 +130,22 @@ def assert_same_report(got, want):
         assert type(g) is type(w) and g == w, (field.name, g, w)
 
 
-def moment_sequence_reference(a, n_max):
+def moment_sequence_reference(a, n_max, chunk=10_000):
     """rho-scaled moments m_0 .. m_n_max in doubles, each step one np.dot of
-    c_i m_i with m_{n-1} .. m_1 read through a negative-stride view: the
-    former loop of moments.moment_sequence, kept as the oracle for its
-    last-first table."""
+    c_i m_i with m_{n-1} .. m_1 read through a negative-stride view, or
+    beyond chunk terms the left-to-right sum of np.dots over chunks of at
+    most chunk terms: the former loop of moments.moment_sequence, kept as
+    the oracle for its last-first table."""
     mt = np.zeros(n_max + 1)
     mt[0] = 1.0
     mt[1] = 1.0 / moments.rho(a)
     c = np.where(np.arange(n_max + 1) % 2 == 0, 1.0, a)
     cm = c * mt
     for n in range(2, n_max + 1):
-        s = np.dot(cm[1:n], mt[n - 1:0:-1])
+        s = 0.0
+        for i in range(1, n, chunk):
+            j = min(i + chunk, n)
+            s += np.dot(cm[i:j], mt[n - i:n - j:-1])
         mt[n] = s / (n * a - c[n])
         cm[n] = c[n] * mt[n]
     return mt

@@ -407,6 +407,24 @@ def test_f_beyond_double_range_exits_one_without_traceback():
     assert "Traceback" not in done.stderr
 
 
+def test_moments_bytes_do_not_follow_the_blas_thread_count(tmp_path):
+    # OpenBLAS splits a dot of more than 10 000 doubles across its threads;
+    # at n_max = 12 000 the recurrence's last 2000 dots are that long
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"m{threads}.csv"
+        done = subprocess.run(
+            [sys.executable, "-m", "erwlab.cli", "moments", "--a", "0.75", "--n-max", "12000",
+             "--out", str(out)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert done.returncode == 0, done.stderr
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_shape_bad_n_max_writes_nothing(tmp_path):
     out = tmp_path / "shape.csv"
     assert run(["shape", "--a", "0.7", "--n-max", "0", "--out", str(out)]) == 1

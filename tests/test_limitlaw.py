@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 
@@ -8,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oracles
-from erwlab import acceptance, limitlaw, moments, walk
+from erwlab import acceptance, limitlaw, moments, specfun, walk
 from erwlab.errors import CancellationError, ConvergenceError, SeriesOverflowError
 
 
@@ -278,6 +279,17 @@ class TestPsiMgf:
         with pytest.raises(CancellationError, match="eta\\^2 = -1.000e-03 is negative"):
             limitlaw.psi_mgf(0.75, 1.0)
 
+    def test_negative_axis_refuses_beyond_the_cancellation_budget(self, monkeypatch):
+        # at a = 0.75, r = -1 Psi loses 3.6e-15 of its value and omega
+        # 4.6e-15: a budget between the two refuses omega alone, one below
+        # both refuses Psi first
+        monkeypatch.setattr(specfun, "_CANCEL_BUDGET", 4e-15)
+        with pytest.raises(CancellationError, match="psi_mgf omega at r=-1"):
+            limitlaw.psi_mgf(0.75, -1.0)
+        monkeypatch.setattr(specfun, "_CANCEL_BUDGET", 1e-15)
+        with pytest.raises(CancellationError, match="psi_mgf Psi at r=-1"):
+            limitlaw.psi_mgf(0.75, -1.0)
+
     def test_negative_digits_refused(self):
         with pytest.raises(ValueError, match="psi_mgf requires precision_digits >= 0"):
             limitlaw.psi_mgf(0.75, 1.0, precision_digits=-1)
@@ -346,6 +358,10 @@ class TestEtaAsymptote:
 # |log error| allowed at n = 1600 between the Laplace integral of the
 # tails and the exact moments (the O(1/n) error measures <= 2.5e-4 there)
 _LAPLACE_TOL = 1e-3
+# |alt / (2 R_n) - 1| allowed at n = 1600 (see _light_tail_error); it
+# measures 4.9e-3 / 5.6e-4 / 2.5e-3 at a = 0.6 / 0.75 / 0.9, and a light
+# prefactor doubled or a light power moved by 0.05 reads 0.044 or more
+_LIGHT_TOL = 1e-2
 
 
 class TestTails:
@@ -436,19 +452,19 @@ class TestTails:
         assert max_dev(800) > max_dev(1600)
 
     @staticmethod
-    def _laplace_log_error(ctx, pos, neg, n):
-        # int x^n [tail+(x) + tail-(-x)] dx in closed form,
-        # int_0^inf c x^(g+n) exp(-s x^b) dx = c Gamma(k/b) / (b s^(k/b)), k = n+g+1,
-        # against the exact log E[L^n] of the moment recurrence
+    def _ln_unit_integral(rec, n):
+        # int_0^inf c x^(g+n) exp(-s x^b) dx = c Gamma(k/b) / (b s^(k/b)), k = n+g+1:
+        # its log without that of the prefactor c
+        k = n + rec.power + 1.0
+        b = rec.stretch_power
+        return math.lgamma(k / b) - math.log(b) - k / b * math.log(rec.stretch)
+
+    @classmethod
+    def _laplace_log_error(cls, ctx, pos, neg, n):
+        # int x^n [tail+(x) + tail-(-x)] dx in closed form against the exact
+        # log E[L^n] of the moment recurrence
         def ln_int(rec):
-            k = n + rec.power + 1.0
-            b = rec.stretch_power
-            return (
-                math.log(rec.prefactor)
-                + math.lgamma(k / b)
-                - math.log(b)
-                - k / b * math.log(rec.stretch)
-            )
+            return math.log(rec.prefactor) + cls._ln_unit_integral(rec, n)
 
         ln_pos = ln_int(pos)
         sign = 1.0 if n % 2 == 0 else -1.0
@@ -466,6 +482,46 @@ class TestTails:
         errs = [self._laplace_log_error(ctx, pos, neg, n) for n in (100, 400, 1600)]
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < _LAPLACE_TOL
+
+    @classmethod
+    def _light_tail_error(cls, ctx, table, pos, neg, n):
+        # with e_n = log E[L^n] - log I_pos(n), I_side(n) = int x^n tail(x) dx,
+        # log E[L^n] = log I_pos(n) + log(1 + (-1)^n R_n), R_n = I_neg(n) / I_pos(n),
+        # so the alternating part (-1)^n (e_n - (e_{n-1} + e_{n+1}) / 2) is
+        # 2 R_n up to corrections falling with n; the second difference
+        # removes the smooth error of the positive tail's integral
+        ln_int = cls._ln_unit_integral
+        e = [moments.limit_moment_ln(ctx.a, m, table) - math.log(pos.prefactor) - ln_int(pos, m)
+             for m in (n - 1, n, n + 1)]
+        alt = (-1) ** n * (e[1] - 0.5 * (e[0] + e[2]))
+        r_n = neg.prefactor / pos.prefactor * math.exp(ln_int(neg, n) - ln_int(pos, n))
+        return abs(alt / (2.0 * r_n) - 1.0) if r_n > 0.0 else math.inf
+
+    @pytest.mark.parametrize("a", [0.6, 0.75, 0.9])
+    def test_light_tail_matches_the_moments_parity(self, a):
+        # the light (negative) tail against the exact moments, through the
+        # alternating part of their logs
+        ctx = moments.context(a)
+        table = moments.moment_sequence(a, 1601)
+        pos = limitlaw.asymptote(ctx, "positive")
+        neg = limitlaw.asymptote(ctx, "negative")
+        errs = [self._light_tail_error(ctx, table, pos, neg, n) for n in (100, 400, 1600)]
+        assert errs[0] > errs[1] > errs[2]
+        assert errs[2] < _LIGHT_TOL
+
+    @pytest.mark.parametrize("a", [0.6, 0.75, 0.9])
+    def test_light_tail_check_rejects_wrong_constants(self, a):
+        ctx = moments.context(a)
+        table = moments.moment_sequence(a, 1601)
+        pos = limitlaw.asymptote(ctx, "positive")
+        neg = limitlaw.asymptote(ctx, "negative")
+        for bad in (
+            dataclasses.replace(neg, prefactor=2.0 * neg.prefactor),
+            dataclasses.replace(neg, prefactor=0.0),
+            dataclasses.replace(neg, power=neg.power + 0.05),
+            dataclasses.replace(neg, power=neg.power - 0.05),
+        ):
+            assert self._light_tail_error(ctx, table, pos, bad, 1600) > _LIGHT_TOL
 
     @pytest.mark.parametrize("a", [0.6, 0.75, 0.9])
     def test_moment_check_rejects_wrong_constants(self, a):
@@ -490,3 +546,30 @@ class TestTails:
         for q in (-0.1, 1.5, float("nan")):
             with pytest.raises(ValueError):
                 limitlaw.tail(ctx, 1.0, "positive", q=q, log=True)
+
+
+def test_analytic_chain_sha256_pin():
+    # every field, bit for bit, of f_eval in its three 2F1 routes (both
+    # sides of each Pfaff switch and of the auto band [1.02, 1.2]),
+    # f_inverse, residuals (through genfun) and psi_mgf in double precision
+    h = hashlib.sha256()
+
+    def put(*fields):
+        h.update(" ".join(v.hex() if isinstance(v, float) else str(v) for v in fields).encode())
+        h.update(b"\n")
+
+    for a in (0.55, 2.0 / 3.0, 0.8, 0.95):
+        for z in (0.01, 0.3, 0.7, 0.75, 1.05, 1.15, 1.5, 6.0, 300.0):
+            for method in ("auto", "hypergeometric", "series"):
+                if (method == "series" and z < 0.05) or (method == "hypergeometric" and z > 6.0):
+                    continue  # beyond the form's term cap
+                put(*dataclasses.astuple(specfun.f_eval(a, z, method=method)))
+        for y in (1e-3, 0.2, 1.0, 7.0, 1e3):
+            put(specfun.f_inverse(a, y))
+    for a in (0.6, 0.75, 0.9):
+        x_max = 0.95 / moments.rho(a)
+        for x in (0.05 * x_max, 0.5 * x_max, 0.9 * x_max):
+            put(*dataclasses.astuple(limitlaw.residuals(a, x)))
+        for r in (-4.0, -0.5, 0.25, 3.0):
+            put(*dataclasses.astuple(limitlaw.psi_mgf(a, r)))
+    assert h.hexdigest() == "de917e9e6aa9d00a1e8af0433c23792261e00e99870a0cf3d0e1223df3c0ab55"

@@ -50,6 +50,13 @@ class TestMomentSequence:
             got = moments.moment_sequence(a, n_max).scaled
             assert got.tobytes() == oracles.moment_sequence_reference(a, n_max).tobytes()
 
+    @pytest.mark.parametrize("a", [0.6, 0.9])
+    def test_bytes_of_the_chunked_loop(self, a):
+        # past n = 10 001 each dot is summed as ordered chunks of at most
+        # 10 000 terms, which OpenBLAS sums on one thread
+        got = moments.moment_sequence(a, 10_050).scaled
+        assert got.tobytes() == oracles.moment_sequence_reference(a, 10_050).tobytes()
+
     def test_positivity(self):
         t = moments.moment_sequence(0.6, 2000)
         assert np.all(t.scaled > 0.0)

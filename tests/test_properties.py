@@ -32,7 +32,8 @@ from numpy.testing import assert_allclose  # noqa: E402
 from erwlab import emit, limitlaw, moments, specfun, walk  # noqa: E402
 from erwlab.errors import ConvergenceError, ErwLabError, SeriesOverflowError  # noqa: E402
 from oracles import (  # noqa: E402
-    assert_same_report, assert_within_bar, check_shape_reference, f_kernel, hyp2f1, psi_mgf_sums)
+    assert_same_report, assert_within_bar, check_shape_reference, f_kernel, hyp2f1, prabhakar,
+    psi_mgf_sums)
 
 deterministic = settings(derandomize=True, database=None, deadline=None)
 
@@ -321,3 +322,26 @@ def test_psi_mgf_within_its_bars_or_typed_error(a, r):
     psi, omega = psi_mgf_sums(a, r, 20)[:2]
     assert_within_bar(got.psi, got.error_estimate, psi)
     assert_within_bar(got.omega, got.omega_error_estimate, omega)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=20)
+@given(
+    alpha=st.floats(0.4, 1.0),
+    beta=st.floats(0.5, 3.0),
+    gamma_p=st.floats(0.3, 3.0),
+    t=st.floats(-30.0, 30.0),
+)
+@example(alpha=0.6, beta=1.0, gamma_p=1.0, t=-30.0)  # the terms reach 10^13 of the value
+def test_high_precision_series_within_their_bars_or_typed_error(alpha, beta, gamma_p, t):
+    # z = sign(t) |t|^alpha puts the largest term near exp(|t|), on both axes
+    z = math.copysign(abs(t) ** alpha, t)
+    for call, params in (
+        (lambda: specfun.prabhakar(alpha, beta, gamma_p, z, precision_digits=30), (alpha, beta, gamma_p)),
+        (lambda: specfun.mittag_leffler(alpha, z, precision_digits=30), (alpha, 1.0, 1.0)),
+    ):
+        try:
+            got = call()
+        except ErwLabError:
+            continue
+        assert math.isfinite(got.value) and math.isfinite(got.abs_error_estimate)
+        assert_within_bar(got.value, got.abs_error_estimate, prabhakar(*params, z))
