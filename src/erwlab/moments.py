@@ -100,20 +100,20 @@ def moment_sequence(a, n_max):
     rev[n_max] = 1.0
     rev[n_max - 1] = m = 1.0 / r
     cm[1] = a * m
-    for n in range(2, min(n_max, _DOT_MAX + 1) + 1):
-        cn = a if n % 2 else 1.0
-        m = float(cm[1:n].dot(rev[n_max - n + 1:n_max])) / (n * a - cn)
-        rev[n_max - n] = m
-        cm[n] = cn * m
-    # a dot of more than _DOT_MAX terms is taken as ordered chunks of at
-    # most _DOT_MAX, summed left to right
-    for n in range(_DOT_MAX + 2, n_max + 1):
+    for n in range(2, n_max + 1):
         cn = a if n % 2 else 1.0
         off = n_max - n
-        s = 0.0
-        for i in range(1, n, _DOT_MAX):
-            j = min(i + _DOT_MAX, n)
-            s += float(cm[i:j].dot(rev[off + i:off + j]))
+        if n <= _DOT_MAX + 1:
+            s = float(cm[1:n].dot(rev[off + 1:n_max]))
+        else:
+            # a dot of more than _DOT_MAX terms is taken as ordered chunks
+            # of at most _DOT_MAX, summed left to right; this loop on one
+            # chunk gives the bits of the dot above, but makes a recurrence
+            # of a few hundred terms, as psi_mgf runs, about 40% slower
+            s = 0.0
+            for i in range(1, n, _DOT_MAX):
+                j = min(i + _DOT_MAX, n)
+                s += float(cm[i:j].dot(rev[off + i:off + j]))
         m = s / (n * a - cn)
         rev[off] = m
         cm[n] = cn * m

@@ -130,12 +130,13 @@ def assert_same_report(got, want):
         assert type(g) is type(w) and g == w, (field.name, g, w)
 
 
-def moment_sequence_reference(a, n_max, chunk=10_000):
+def moment_sequence_reference(a, n_max):
     """rho-scaled moments m_0 .. m_n_max in doubles, each step one np.dot of
     c_i m_i with m_{n-1} .. m_1 read through a negative-stride view, or
-    beyond chunk terms the left-to-right sum of np.dots over chunks of at
-    most chunk terms: the former loop of moments.moment_sequence, kept as
-    the oracle for its last-first table."""
+    beyond 10 000 terms the left-to-right sum of np.dots over chunks of at
+    most 10 000 terms, the longest dot OpenBLAS sums on one thread: the
+    former loop of moments.moment_sequence, kept as the oracle for its
+    last-first table."""
     mt = np.zeros(n_max + 1)
     mt[0] = 1.0
     mt[1] = 1.0 / moments.rho(a)
@@ -143,8 +144,8 @@ def moment_sequence_reference(a, n_max, chunk=10_000):
     cm = c * mt
     for n in range(2, n_max + 1):
         s = 0.0
-        for i in range(1, n, chunk):
-            j = min(i + chunk, n)
+        for i in range(1, n, 10_000):
+            j = min(i + 10_000, n)
             s += np.dot(cm[i:j], mt[n - i:n - j:-1])
         mt[n] = s / (n * a - c[n])
         cm[n] = c[n] * mt[n]
