@@ -5,6 +5,7 @@ from .errors import (
     CancellationError,
     ConsistencyError,
     ConvergenceError,
+    DomainError,
     ErwLabError,
     QuadratureError,
     SeriesOverflowError,

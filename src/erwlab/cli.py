@@ -3,8 +3,8 @@
 Every subcommand writes deterministic CSV/JSON (CSV floats to 17
 significant digits, JSON floats as their shortest round-trip repr, sorted
 metadata, seeds echoed in headers).  Exit codes: 0 success, 1 numeric
-failure (failing check named on stderr), 2 usage error (argparse, or a
-check made before any work).
+failure (any ErwLabError, a refused argument included, named on stderr),
+2 usage error (argparse, or a check made before any work).
 """
 
 import argparse
@@ -15,7 +15,7 @@ import numpy as np
 
 from . import acceptance, limitlaw, moments, specfun, walk
 from .emit import fmt, write_csv, write_json
-from .errors import ErwLabError
+from .errors import DomainError, ErwLabError
 
 
 class SystemExit2(SystemExit):
@@ -44,17 +44,21 @@ def _grid(spec):
     try:
         lo, hi, points = spec.split(",")
         lo, hi, points = float(lo), float(hi), int(points)
-    except ValueError:
-        raise SystemExit2(f"grid must be lo,hi,points, got {spec!r}") from None
-    if not (lo < hi and points >= 2):
-        raise SystemExit2("grid must be lo,hi,points with lo < hi and points >= 2")
-    return np.linspace(lo, hi, points)
+        if lo < hi and points >= 2:
+            # an infinite end or spacing would give NaN or infinite points
+            with np.errstate(over="raise", invalid="raise"):
+                return np.linspace(lo, hi, points)
+    except (ValueError, FloatingPointError):
+        pass
+    raise SystemExit2(
+        f"grid must be lo,hi,points with lo < hi, points >= 2 and every point finite, got {spec!r}"
+    )
 
 
 def _threads(threads=None):
     try:
         return walk.resolve_threads(threads)
-    except ValueError as exc:
+    except DomainError as exc:
         raise SystemExit2(str(exc)) from None
 
 
@@ -153,8 +157,7 @@ def cmd_moments(args):
 def cmd_rho(args):
     if args.grid is not None:
         rows = []
-        for a in _grid(args.grid):
-            a = float(a)
+        for a in _grid(args.grid).tolist():
             rg = moments.rho(a)
             ri = moments.rho_integral(a)
             rows.append((a, rg, ri, abs(rg - ri)))
@@ -187,8 +190,7 @@ def cmd_limit(args):
     r = moments.rho(a)
     grid = _grid(args.grid) if args.grid else np.linspace(0.05, 0.90, 18) / r
     rows = []
-    for x in grid:
-        x = float(x)
+    for x in grid.tolist():
         g = limitlaw.genfun(a, x)
         res = limitlaw.residuals(a, x)
         rows.append((x, g.g, g.a_even, g.b, g.m, res.r_imp, res.r_m))
@@ -348,7 +350,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ErwLabError, ValueError) as exc:
+    except ErwLabError as exc:
         print(f"numeric failure in '{args.command}': {exc}", file=sys.stderr)
         return 1
 

@@ -2,7 +2,14 @@
 
 
 class ErwLabError(Exception):
-    """Base class for numeric failures raised by this package."""
+    """Base class for the errors this package raises: refused arguments
+    and numeric failures."""
+
+
+class DomainError(ErwLabError, ValueError):
+    """An argument outside the function's domain, or not a number of the
+    kind it takes (a str, a float count, a number beyond the double
+    range)."""
 
 
 class QuadratureError(ErwLabError):

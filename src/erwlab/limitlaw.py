@@ -19,11 +19,13 @@ tilted-law functionals omega, xi, eta used by the tail analysis;
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CancellationError, ConvergenceError, SeriesOverflowError
+from ._intake import count, real
+from .errors import CancellationError, ConvergenceError, DomainError, SeriesOverflowError
 from .moments import moment_sequence, rho
 from .specfun import _EPS, _LOG_MAX, _check_cancellation, f_eval, f_inverse, gamma_ln, rho_root
 
@@ -92,12 +94,14 @@ class TailAsymptote:
 
 
 def genfun(a, x):
-    """G, A, B and M at x in (0, 1/rho_a)."""
-    r = rho(a)
-    if not (0.0 < x < 1.0 / r - 1e-12):
-        raise ValueError(f"genfun requires 0 < x < 1/rho - 1e-12, got x={x!r}")
-    a, x = float(a), float(x)
-    g = f_inverse(a, x ** (-1.0 / a) - rho_root(a))
+    """G, A, B and M at x in (0, 1/rho_a - 1e-12)."""
+    a = real("genfun requires a", a, 0.5, 1.0)
+    x = real("genfun requires x", x, 0.0, 1.0 / rho(a) - 1e-12)
+    try:
+        y = x ** (-1.0 / a)
+    except OverflowError:
+        raise SeriesOverflowError(f"genfun at x={x:g}: x^(-1/a) exceeds the double range") from None
+    g = f_inverse(a, y - rho_root(a))
     ratio = g / x
     b = x * ratio ** ((a + 1.0) / a)
     a_even = ratio ** (1.0 / a) * math.sqrt(1.0 + g * g)
@@ -109,17 +113,22 @@ def residuals(a, x, h_scale=1.0):
 
     Central differences use steps eps^(1/3) x (first derivative) and
     eps^(1/4) x (second); h_scale multiplies both so O(h^2) decay can be
-    observed above the roundoff floor.
+    observed above the roundoff floor.  DomainError where the second step
+    squared is below the smallest normal double (x h_scale below about
+    1.2e-150).
     """
+    a = real("residuals requires a", a, 0.5, 1.0)
     r = rho(a)
-    if not (0.0 < x < 0.95 / r):
-        raise ValueError(f"residuals requires 0 < x < 0.95/rho, got x={x!r}")
-    if not (h_scale > 0.0):
-        raise ValueError(f"residuals requires h_scale > 0, got {h_scale!r}")
-    a, x, h_scale = float(a), float(x), float(h_scale)
+    x = real("residuals requires x", x, 0.0, 0.95 / r)
+    h_scale = real("residuals requires h_scale", h_scale, 0.0, math.inf)
     p = (1.0 + a) / 2.0
     h1 = _H_FIRST * x * h_scale
     h2 = _H_SECOND * x * h_scale
+    if h2 * h2 < sys.float_info.min:
+        raise DomainError(
+            f"residuals at x={x:g}, h_scale={h_scale:g}: the second difference's "
+            f"squared step {h2:g}^2 leaves the normal double range"
+        )
     g0 = genfun(a, x)
     gp1 = genfun(a, x + h1)
     gm1 = genfun(a, x - h1)
@@ -213,14 +222,12 @@ def psi_mgf(a, r, precision_digits=0):
     wherever a sum leaves the double range.  For r < 0 in double precision
     Psi and omega must each keep their own measured cancellation loss
     within 1e-6 of their own value, CancellationError otherwise.  A NaN r or
-    a negative precision_digits raises ValueError up front.
+    a negative precision_digits raises DomainError up front.
     """
-    if math.isnan(r):
-        raise ValueError("psi_mgf requires a number r, got nan")
-    if precision_digits < 0:
-        raise ValueError(f"psi_mgf requires precision_digits >= 0, got {precision_digits}")
+    a = real("psi_mgf requires a", a, 0.5, 10.0, "(]")
+    r = real("psi_mgf requires a number r", r, -math.inf, math.inf, "[]")
+    precision_digits = count("psi_mgf requires precision_digits", precision_digits, 0)
     rh = rho(a)
-    a, r = float(a), float(r)
     # u in logs, so that no power overflows before the test
     if r != 0.0 and math.log(rh * abs(r)) / a > _LN_U_MAX:
         raise SeriesOverflowError(f"Psi({r:g}) at a={a:g} overflows double precision")
@@ -338,11 +345,8 @@ def _moments_hp(aa, rho_mp):
 def eta_asymptote(a, r):
     """Leading form sqrt(1-a) r^(1/(2a)-1) / a of the tilted standard
     deviation; the same form holds on both half-axes."""
-    if not (0.5 < a < 1.0):
-        raise ValueError("eta_asymptote requires a in (1/2, 1)")
-    if not (r > 0.0):
-        raise ValueError("eta_asymptote requires r > 0")
-    a, r = float(a), float(r)
+    a = real("eta_asymptote requires a", a, 0.5, 1.0)
+    r = real("eta_asymptote requires r", r, 0.0, math.inf, "(]")
     return math.sqrt(1.0 - a) * r ** (1.0 / (2.0 * a) - 1.0) / a
 
 
@@ -359,24 +363,19 @@ def asymptote(ctx, side, q=1.0):
     tail; a side of weight 0 carries the unmixed law's light tail.
     """
     if side not in ("positive", "negative"):
-        raise ValueError(f"unknown side {side!r}")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"first-step parameter q must be in [0, 1], got {q!r}")
-    q = float(q)
+        raise DomainError(f"unknown side {side!r}")
+    q = real("first-step parameter q must be", q, 0.0, 1.0, "[]")
     a = ctx.a
     stretch = (1.0 - a) * (a**a / ctx.rho) ** (1.0 / (1.0 - a))
     stretch_power = 1.0 / (1.0 - a)
     heavy = q if side == "positive" else 1.0 - q
     if heavy > 0.0:
         pref, power = heavy * ctx.c_pos, (2.0 * a - 1.0) / (2.0 * (1.0 - a))
+        if pref == 0.0:
+            raise SeriesOverflowError(f"tail prefactor at weight {heavy:g} underflows double")
     else:
         pref, power = ctx.c_neg, (2.0 * a * a - 3.0 * a - 1.0) / (2.0 * (1.0 - a * a))
     return TailAsymptote(pref, power, stretch, stretch_power)
-
-
-def _check_x(what, x):
-    if not (math.isfinite(x) and x > 0.0):
-        raise ValueError(f"{what} requires a finite x > 0, got {x!r}")
 
 
 def tail(ctx, x, side, q=1.0, log=False):
@@ -385,8 +384,7 @@ def tail(ctx, x, side, q=1.0, log=False):
     0).  Where x^stretch_power overflows (a near 1) the value reads -inf,
     or 0 with log=False; a value above the double range raises
     SeriesOverflowError unless log=True."""
-    _check_x("tail", x)
-    x = float(x)
+    x = real("tail requires a finite x", x, 0.0, math.inf)
     rec = asymptote(ctx, side, q)
     try:
         stretched = x**rec.stretch_power
@@ -405,8 +403,7 @@ def tail_ratio(ctx, x):
     """Closed-form ratio tail_pos/tail_neg = const * x^(2a/(1-a^2)),
     evaluated independently of the two prefactors (the stretch terms
     cancel); SeriesOverflowError where x^(2a/(1-a^2)) overflows."""
-    _check_x("tail_ratio", x)
-    x = float(x)
+    x = real("tail_ratio requires a finite x", x, 0.0, math.inf)
     a = ctx.a
     power = 2.0 * a / (1.0 - a * a)
     const = (

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SeriesOverflowError
+from ._intake import count, real
+from .errors import DomainError, SeriesOverflowError
 from .specfun import f_eval, gamma_ln, hyp2f1, rho_root
 
 # m_2 = a/(2a-1) blows up at the diffusive boundary; the artifact refuses
@@ -31,18 +32,13 @@ _A_MIN = 0.5 + 1e-6
 _DOT_MAX = 10_000
 
 
-def _check_a(a):
-    if not (a > _A_MIN and a < 1.0):
-        raise ValueError(
-            f"superdiffusive moment recurrence needs a in ({_A_MIN}, 1), got {a!r}"
-        )
+def _take_a(a):
+    return real("superdiffusive moment recurrence needs a", a, _A_MIN, 1.0)
 
 
 def rho(a):
     """Exponential growth rate of {m_n} (Gamma-product form), a > 1/2."""
-    if not (0.5 < a <= 10.0):
-        raise ValueError(f"rho requires a in (1/2, 10], got {a!r}")
-    a = float(a)
+    a = real("rho requires a", a, 0.5, 10.0, "(]")
     return rho_root(a) ** a
 
 
@@ -55,9 +51,7 @@ def rho_integral(a):
     1 - 1/(2a); -1/4) - 1) and the part above 2^(1/a) - F(1/2), with F by
     quadrature (QuadratureError if it fails).
     """
-    if not (0.5 < a < 1.0):
-        raise ValueError(f"rho_integral requires a in (1/2, 1), got {a!r}")
-    a = float(a)
+    a = real("rho_integral requires a", a, 0.5, 1.0)
     h = hyp2f1(0.5, -0.5 / a, 1.0 - 0.5 / a, -0.25).value
     f = f_eval(a, 0.5, method="quadrature").value
     return (2.0 ** (1.0 / a) * h - f) ** a
@@ -86,10 +80,8 @@ class MomentTable:
 
 def moment_sequence(a, n_max):
     """Run the recurrence in rho-scaled form out to n_max (>= 2)."""
-    _check_a(a)
-    if n_max < 2:
-        raise ValueError("n_max must be >= 2")
-    a = float(a)
+    a = _take_a(a)
+    n_max = count("moment_sequence: n_max must be", n_max, 2)
     r = rho(a)
     # the table last-first, rev[n_max - i] = m_i, so that m_{n-1} .. m_1 is
     # a contiguous slice: dot hands it to ddot as it is, where a
@@ -122,18 +114,17 @@ def moment_sequence(a, n_max):
 
 def limit_moment_ln(a, n, table=None):
     """log E[L1^n] = log(n! m_n / Gamma(1+an)); a table given must be that
-    of this a and reach n, else ValueError."""
-    if n < 0:
-        raise ValueError("moment order must be >= 0")
+    of this a and reach n, else DomainError."""
+    a = _take_a(a)
+    n = count("limit_moment_ln: moment order must be", n, 0)
     if n == 0:
         return 0.0
     if table is None:
         table = moment_sequence(a, max(n, 2))
     elif table.a != a or n > table.n_max:
-        raise ValueError(
+        raise DomainError(
             f"moment table of a={table.a!r} to n={table.n_max} cannot give order {n} at a={a!r}"
         )
-    a = float(a)
     ln_m = math.log(table.scaled[n]) + n * math.log(table.rho)
     return gamma_ln(n + 1.0) + ln_m - gamma_ln(1.0 + a * n)
 
@@ -169,8 +160,7 @@ def context(a):
     c_neg   = (rho_a/a)^((3a-1)/(2(1-a^2))) rho_a^(2/(a+1))
               / (sqrt(2 pi (1-a)) 2 (a+1)^delta Gamma(delta)).
     """
-    _check_a(a)
-    a = float(a)
+    a = _take_a(a)
     r = rho(a)
     delta = (1.0 - a) / (1.0 + a)
     kappa = (r ** (2.0 / (a + 1.0)) / 4.0) * ((a + 1.0) / a) ** (2.0 * a / (a + 1.0))
@@ -193,8 +183,7 @@ def context(a):
 def asymptotic_moment_ln(ctx, n, order="leading"):
     """log of the moment asymptote 2a rho^n n! / ((a+1) Gamma(1+an)),
     optionally with the parity-dependent first correction."""
-    if n < 1:
-        raise ValueError("asymptotic_moment_ln needs n >= 1")
+    n = count("asymptotic_moment_ln needs n", n, 1)
     a = ctx.a
     ln = (
         math.log(2.0 * a / (a + 1.0))
@@ -210,9 +199,9 @@ def asymptotic_moment_ln(ctx, n, order="leading"):
         sign = 1.0 if n % 2 == 0 else -1.0
         corr = 1.0 + ctx.kappa * poch_ratio * (sign + (a - 1.0) / (3.0 * a + 1.0))
         if not corr > 0.0:
-            raise ValueError(f"asymptotic_moment_ln: correction factor {corr!r} <= 0 at a = {a!r}, n = {n}")
+            raise DomainError(f"asymptotic_moment_ln: correction factor {corr!r} <= 0 at a = {a!r}, n = {n}")
         return ln + math.log(corr)
-    raise ValueError(f"unknown order {order!r}")
+    raise DomainError(f"unknown order {order!r}")
 
 
 def hankel_test(table, k_max):
@@ -224,8 +213,9 @@ def hankel_test(table, k_max):
     sequence.  Magnitudes below 1e-12 of the row-max scale are reported
     as 0 (indeterminate).
     """
+    k_max = count("hankel_test needs k_max", k_max, 0)
     if 2 * k_max > table.n_max:
-        raise ValueError("hankel_test needs 2*k_max <= n_max")
+        raise DomainError("hankel_test needs 2*k_max <= n_max")
     out = []
     for k in range(k_max + 1):
         idx = np.arange(k + 1)

@@ -9,6 +9,7 @@ stays honest once the rule is converged.
 
 import math
 
+from ._intake import count, real
 from .errors import QuadratureError
 
 # 15-point Kronrod nodes (positive half) with Kronrod weights, and the
@@ -66,8 +67,11 @@ def integrate(f, a, b, tol_abs=1e-12, tol_rel=1e-12, limit=512):
     segment budget is exhausted before the estimate meets
     max(tol_abs, tol_rel * |value|).
     """
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("integrate requires finite endpoints; substitute first")
+    head = "integrate requires finite endpoints (substitute first)"
+    a, b = real(head, a, -math.inf, math.inf), real(head, b, -math.inf, math.inf)
+    tol_abs = real("integrate requires tol_abs", tol_abs, 0.0, math.inf, "[)")
+    tol_rel = real("integrate requires tol_rel", tol_rel, 0.0, math.inf, "[)")
+    limit = count("integrate requires limit", limit, 1)
     segs = [(a, b, *gk15(f, a, b))]
     while True:
         value = math.fsum(s[2] for s in segs)

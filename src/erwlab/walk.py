@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _intake
+from .errors import DomainError
 from .rootfind import bisect_newton
 
 _REL_TOL = 1e-12
@@ -41,12 +43,10 @@ class ErwParams:
     q_first: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.p) and 0.0 <= self.p <= 1.0):
-            raise ValueError(f"memory parameter p must be in [0, 1], got {self.p!r}")
-        if not (math.isfinite(self.q_first) and 0.0 <= self.q_first <= 1.0):
-            raise ValueError(f"first-step parameter must be in [0, 1], got {self.q_first!r}")
-        object.__setattr__(self, "p", float(self.p))
-        object.__setattr__(self, "q_first", float(self.q_first))
+        p = _intake.real("memory parameter p must be", self.p, 0.0, 1.0, "[]")
+        q = _intake.real("first-step parameter must be", self.q_first, 0.0, 1.0, "[]")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q_first", q)
 
     @property
     def a(self):
@@ -54,7 +54,8 @@ class ErwParams:
 
     @classmethod
     def from_a(cls, a, q_first=1.0):
-        return cls(p=(1.0 + float(a)) / 2.0, q_first=q_first)
+        a = _intake.real("memory scale a must be", a, -1.0, 1.0, "[]")
+        return cls(p=(1.0 + a) / 2.0, q_first=q_first)
 
 
 @dataclass(frozen=True)
@@ -142,8 +143,7 @@ def iter_rows(params, n_max):
     --all-rows` streams these rows to its CSV.  A bad n_max raises here,
     before the caller has consumed or written anything.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    n_max = _intake.count("iter_rows: n_max must be", n_max, 1)
     rows = _rows(params.p, n_max)
     if params.q_first == 1.0:
         return map(DistributionRow, itertools.count(1), rows)
@@ -195,8 +195,7 @@ def row_at(params, n):
     """Row n of the exact distribution alone, in O(n) memory: the steps
     hold two rows at a time and return the last, as iter_rows yields it
     (entries below the smallest normal double read 0)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _intake.count("row_at: n must be", n, 1)
     for probs in _rows(params.p, n):
         pass
     if params.q_first == 1.0:
@@ -248,8 +247,9 @@ def log_concavity_root(q_index):
     """Unique root in (1/2, 1) of the hard-coded threshold polynomial
     P_q, q_index in 0..3, by Newton on (1/2, 1) to |P_q| at its rounding
     floor, a few eps * sum |c_i| (about 1e-15 in the root)."""
-    if q_index not in (0, 1, 2, 3):
-        raise ValueError("q_index must be one of 0, 1, 2, 3")
+    q_index = _intake.count("log_concavity_root: q_index must be", q_index, 0)
+    if q_index > 3:
+        raise DomainError(f"q_index must be one of 0, 1, 2, 3, got {q_index}")
     # loaded on first use: numpy.polynomial adds about 4 ms and 0.5 MB to
     # every import of erwlab
     from numpy.polynomial.polynomial import polyder, polyval
@@ -264,16 +264,15 @@ def log_concavity_root(q_index):
 def scaled_density(row, a, x):
     """Finite-n step density of n^(-a) S_n at the points x: height
     n^a P(n,k)/2 on (n^(-a)(2k-n-1), n^(-a)(2k-n+1)], 0 outside the
-    support (at +-inf too); a NaN x raises ValueError."""
-    if not (0.5 < a < 1.0):
-        raise ValueError(f"scaled_density requires a in (1/2, 1), got {a!r}")
+    support (at +-inf too); a NaN x raises DomainError."""
+    a = _intake.real("scaled_density requires a", a, 0.5, 1.0)
     scale = float(row.n) ** a
     s = row.support().astype(float)
     edges = np.concatenate([(s - 1.0), [s[-1] + 1.0]]) / scale
     heights = scale * row.probs / 2.0
     x = np.asarray(x, dtype=float)
     if np.isnan(x).any():
-        raise ValueError("scaled_density requires numbers x, got nan")
+        raise DomainError("scaled_density requires numbers x, got nan")
     idx = np.searchsorted(edges, x, side="left") - 1
     inside = (idx >= 0) & (idx < len(heights))
     out = np.zeros_like(x)
@@ -286,7 +285,7 @@ def scaled_density(row, a, x):
 
 
 def resolve_threads(threads=None):
-    """threads, else ERWLAB_THREADS, else the CPU count up to 4; ValueError
+    """threads, else ERWLAB_THREADS, else the CPU count up to 4; DomainError
     for a count below 1 or an ERWLAB_THREADS that is not an integer."""
     what = "threads"
     if threads is None:
@@ -297,11 +296,8 @@ def resolve_threads(threads=None):
         try:
             threads = int(env)
         except ValueError:
-            raise ValueError(f"ERWLAB_THREADS must be an integer, got {env!r}") from None
-    threads = int(threads)
-    if threads < 1:
-        raise ValueError(f"{what} must be >= 1, got {threads}")
-    return threads
+            raise DomainError(f"ERWLAB_THREADS must be an integer, got {env!r}") from None
+    return _intake.count(f"{what} must be", threads, 1)
 
 
 # Generator.random's conversions of Philox's raw uint64 words: a float64 is
@@ -458,15 +454,11 @@ def simulate_terminal(params, n, count, seed, threads=None):
     one block at n = 1e4, 200 and 7e4): about 2 MB for n <= 2**16, 38 n
     bytes above.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    n = _intake.count("simulate_terminal: n must be", n, 1)
+    count = _intake.count("simulate_terminal: count must be", count, 1)
     if n * count > _STEP_BUDGET:
-        raise ValueError(
-            f"count*n = {n * count} exceeds the step budget {_STEP_BUDGET}"
-        )
-    seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+        raise DomainError(f"count*n = {n * count} exceeds the step budget {_STEP_BUDGET}")
+    seed = _intake.count("simulate_terminal requires an integer seed", seed, -math.inf) & 0xFFFFFFFFFFFFFFFF
     # scheduling granularity only: a worker's memory is set by its block
     # (see _simulate_chunk), not by the chunk; one chunk stays on one thread.
     # A count below one chunk stays whole: split into one share per worker

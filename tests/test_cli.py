@@ -462,3 +462,12 @@ def test_help_smoke(capsys):
             run([cmd, "--help"])
         assert exc.value.code == 0
         assert "--" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("grid", ["0,inf,2", "-inf,1,3", "0,1.7976931348623157e+308,4"])
+def test_grid_with_points_beyond_the_double_range_exits_two(grid, capsys):
+    # numpy would fill the grid with NaN or overflow while spacing it
+    with pytest.raises(SystemExit) as exc:
+        run(["rho", f"--grid={grid}"])
+    assert exc.value.code == 2
+    assert "every point finite" in capsys.readouterr().err

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 
 import oracles
 from erwlab import acceptance, limitlaw, moments, specfun, walk
-from erwlab.errors import CancellationError, ConvergenceError, SeriesOverflowError
+from erwlab.errors import CancellationError, ConvergenceError, DomainError, SeriesOverflowError
 
 
 def _hp_grid():
@@ -573,3 +573,26 @@ def test_analytic_chain_sha256_pin():
         for r in (-4.0, -0.5, 0.25, 3.0):
             put(*dataclasses.astuple(limitlaw.psi_mgf(a, r)))
     assert h.hexdigest() == "de917e9e6aa9d00a1e8af0433c23792261e00e99870a0cf3d0e1223df3c0ab55"
+
+
+def test_genfun_where_x_to_the_minus_one_over_a_overflows():
+    with pytest.raises(SeriesOverflowError, match=r"x\^\(-1/a\) exceeds the double range"):
+        limitlaw.genfun(0.75, 5e-324)
+
+
+def test_tail_prefactor_underflow_is_typed():
+    # q c_pos rounds to 0: its log would be a math domain error
+    ctx = moments.context(0.75)
+    with pytest.raises(SeriesOverflowError, match="underflows double"):
+        limitlaw.asymptote(ctx, "positive", 5e-324)
+    with pytest.raises(SeriesOverflowError, match="underflows double"):
+        limitlaw.tail(ctx, 2.0, "positive", q=5e-324, log=True)
+
+
+def test_residuals_refuse_a_second_difference_step_below_the_normal_range():
+    # h2 = eps^(1/4) x h_scale; h2^2 would underflow to 0 and divide by it
+    with pytest.raises(DomainError, match="squared step"):
+        limitlaw.residuals(0.9375, 1e-258)
+    with pytest.raises(DomainError, match="squared step"):
+        limitlaw.residuals(0.75, 1e-100, h_scale=1e-60)
+    assert limitlaw.residuals(0.9375, 1e-100).r_m_rel < 1e-10

@@ -3,7 +3,10 @@ check_shape agrees with its loop oracle, the 17-digit CSV/JSON floats
 round-trip, a CSV's one line format gives fmt's bytes, the public numeric
 calls give a finite value or a typed error at both ends of the window
 a in (1/2, 1) and the bytes of a Python float for a numpy scalar argument,
-and psi_mgf's double-precision sums lie within their bars.
+every real and count argument refuses a str, a huge int or a non-integer
+count with DomainError, psi_mgf's double-precision sums and the
+Mittag-Leffler and Prabhakar series lie within their bars, and the CLI
+keeps its exit-code contract on odd numeric options.
 
 Examples are derived from the test source (derandomize) and no example
 database is written, so every run checks the same cases.  Hypothesis
@@ -12,7 +15,9 @@ to the system temporary directory unless HYPOTHESIS_STORAGE_DIRECTORY
 names another place, so a test run leaves nothing in the checkout.
 """
 
+import contextlib
 import dataclasses
+import io
 import math
 import os
 import struct
@@ -29,8 +34,9 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from numpy.testing import assert_allclose  # noqa: E402
 
-from erwlab import emit, limitlaw, moments, specfun, walk  # noqa: E402
-from erwlab.errors import ConvergenceError, ErwLabError, SeriesOverflowError  # noqa: E402
+from erwlab import cli, emit, limitlaw, moments, quadrature, specfun, walk  # noqa: E402
+from erwlab.errors import (  # noqa: E402
+    ConvergenceError, DomainError, ErwLabError, SeriesOverflowError)
 from oracles import (  # noqa: E402
     assert_same_report, assert_within_bar, check_shape_reference, f_kernel, hyp2f1, prabhakar,
     psi_mgf_sums)
@@ -252,8 +258,8 @@ def test_public_calls_finite_or_typed_error_at_window_edges(a):
         assert values and all(math.isfinite(v) for v in values), value
 
 
-# every public function of specfun, moments and limitlaw that takes a real
-# argument, with values for those arguments
+# every public function that takes a real argument, with values for those
+# arguments
 _REAL_ARGUMENT_CALLS = {
     "gamma_ln": (specfun.gamma_ln, (0.7,)),
     "hyp2f1": (specfun.hyp2f1, (0.5, 0.3, 1.7, -0.7)),
@@ -277,7 +283,65 @@ _REAL_ARGUMENT_CALLS = {
     "asymptote": (lambda q: limitlaw.asymptote(moments.context(0.7), "positive", q), (0.3,)),
     "tail": (lambda x, q: limitlaw.tail(moments.context(0.7), x, "positive", q), (2.5, 0.3)),
     "tail_ratio": (lambda x: limitlaw.tail_ratio(moments.context(0.7), x), (2.5,)),
+    "ErwParams": (lambda p, q: walk.ErwParams(p=p, q_first=q), (0.8, 0.3)),
+    "ErwParams.from_a": (walk.ErwParams.from_a, (0.6, 0.3)),
+    "scaled_density": (
+        lambda a: walk.scaled_density(walk.row_at(walk.ErwParams(p=0.8), 50), a, [0.5]), (0.7,)),
+    "integrate": (lambda *ends_tols: quadrature.integrate(math.exp, *ends_tols),
+                  (0.0, 1.5, 1e-12, 1e-12)),
 }
+
+# every public function that takes a count, with values for those counts
+_COUNT_ARGUMENT_CALLS = {
+    "mittag_leffler": (lambda d: specfun.mittag_leffler(0.5, 1.0, precision_digits=d), (0,)),
+    "prabhakar": (lambda d: specfun.prabhakar(0.7, 1.3, 0.6, 2.5, precision_digits=d), (0,)),
+    "psi_mgf": (lambda d: limitlaw.psi_mgf(0.7, -1.5, precision_digits=d), (0,)),
+    "moment_sequence": (lambda n: moments.moment_sequence(0.7, n), (40,)),
+    "limit_moment_ln": (lambda n: moments.limit_moment_ln(0.7, n), (7,)),
+    "limit_moment": (lambda n: moments.limit_moment(0.7, n), (7,)),
+    "asymptotic_moment_ln": (lambda n: moments.asymptotic_moment_ln(moments.context(0.7), n), (7,)),
+    "hankel_test": (lambda k: moments.hankel_test(moments.moment_sequence(0.7, 20), k), (3,)),
+    "iter_rows": (lambda n: walk.iter_rows(walk.ErwParams(p=0.8), n), (5,)),
+    "row_at": (lambda n: walk.row_at(walk.ErwParams(p=0.8), n), (5,)),
+    "evolve_distribution": (lambda n: walk.evolve_distribution(walk.ErwParams(p=0.8), n), (5,)),
+    "log_concavity_root": (walk.log_concavity_root, (1,)),
+    "resolve_threads": (walk.resolve_threads, (2,)),
+    "simulate_terminal": (
+        lambda *counts: walk.simulate_terminal(walk.ErwParams(p=0.8), *counts), (10, 3, 7, 1)),
+    "integrate": (lambda limit: quadrature.integrate(math.exp, 0.0, 1.5, limit=limit), (50,)),
+}
+
+
+def test_numpy_integer_counts_compute_as_python_ints():
+    # a product of int64 counts would wrap where one of Python ints does not
+    assert type(moments.moment_sequence(0.7, np.int64(40)).n_max) is int
+    assert type(walk.row_at(walk.ErwParams(p=0.8), np.uint16(5)).n) is int
+
+
+def _each_argument_replaced(args, bad):
+    for i in range(len(args)):
+        yield args[:i] + (bad,) + args[i + 1:]
+
+
+@pytest.mark.parametrize("bad", [10**400, "0.7", b"0.7"], ids=["huge-int", "str", "bytes"])
+@pytest.mark.parametrize("name", list(_REAL_ARGUMENT_CALLS))
+def test_real_arguments_refuse_with_domain_error(name, bad):
+    # float() parses a str and overflows on a huge int; the intake refuses both
+    call, args = _REAL_ARGUMENT_CALLS[name]
+    call(*args)
+    for bad_args in _each_argument_replaced(args, bad):
+        with pytest.raises(DomainError):
+            call(*bad_args)
+
+
+@pytest.mark.parametrize("bad", [2.5, "3", True], ids=["float", "str", "bool"])
+@pytest.mark.parametrize("name", list(_COUNT_ARGUMENT_CALLS))
+def test_count_arguments_refuse_with_domain_error(name, bad):
+    call, args = _COUNT_ARGUMENT_CALLS[name]
+    call(*args)
+    for bad_args in _each_argument_replaced(args, bad):
+        with pytest.raises(DomainError):
+            call(*bad_args)
 
 
 def _typed_bytes(value):
@@ -345,3 +409,140 @@ def test_high_precision_series_within_their_bars_or_typed_error(alpha, beta, gam
             continue
         assert math.isfinite(got.value) and math.isfinite(got.abs_error_estimate)
         assert_within_bar(got.value, got.abs_error_estimate, prabhakar(*params, z))
+
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    alpha=st.floats(0.4, 1.0),
+    beta=st.floats(0.5, 3.0),
+    gamma_p=st.floats(0.3, 3.0),
+    t=st.floats(-12.0, 30.0),
+)
+@example(alpha=1.0, beta=1.0, gamma_p=1.0, t=-12.0)  # E_1(-12) = e^-12, 2e5 times below its terms
+def test_double_precision_series_within_their_bars_or_typed_error(alpha, beta, gamma_p, t):
+    # against the 40-digit mode, whose own bar covers its rounding to a double
+    z = math.copysign(abs(t) ** alpha, t)
+    for call, name in (
+        (lambda d: specfun.prabhakar(alpha, beta, gamma_p, z, precision_digits=d), "prabhakar"),
+        (lambda d: specfun.mittag_leffler(alpha, z, precision_digits=d), "mittag_leffler"),
+    ):
+        try:
+            got = call(0)
+        except ErwLabError:
+            continue
+        ref = call(40)
+        assert math.isfinite(got.value) and math.isfinite(got.abs_error_estimate)
+        gap = abs(got.value - ref.value)
+        assert gap <= got.abs_error_estimate + ref.abs_error_estimate, (name, got, ref)
+
+
+# ---------------------------------------------------------------------------
+# CLI argv: every subcommand but check, with each numeric option drawn from
+# finite, infinite, NaN, negative, zero, tiny and huge values.  Counts stay
+# small and --threads stays in 1..2, so that no draw starts many threads or
+# runs long; 60 examples each keep the eight properties near 4 s.
+
+cli_fuzz = settings(deterministic, max_examples=60)
+
+# the unit interval holds most valid a, p, q and x
+_NUMBERS = st.floats(0.0, 1.0) | st.floats(-3.0, 3.0) | st.sampled_from(
+    [math.inf, -math.inf, math.nan, 0.0, -0.0, -1.0, 0.75, 5e-324, 1e-300, 1e300, -1e300,
+     sys.float_info.max])
+_PARAM = st.sampled_from(["a", "p"])
+
+
+def _opt(name, value):
+    # --name=value, so that argparse reads "-inf" or "-1e+300" as a value
+    return f"--{name}={value}"
+
+
+@st.composite
+def _grids(draw):
+    return f"{draw(_NUMBERS)},{draw(_NUMBERS)},{draw(st.integers(-1, 4))}"
+
+
+def _run_cli(argv):
+    """`erwlab argv --out <file>` keeps the CLI contract: exit code 0, 1 or
+    2, no exception escaping main, no output file after a usage error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv + ["--out", out])
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), (code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert not os.path.exists(out)
+
+
+@cli_fuzz
+@given(param=_PARAM, value=_NUMBERS, q=_NUMBERS, n_max=st.integers(-2, 40), all_rows=st.booleans())
+def test_cli_dist_exits_by_contract(param, value, q, n_max, all_rows):
+    argv = ["dist", _opt(param, value), _opt("q", q), _opt("n-max", n_max)]
+    _run_cli(argv + ["--all-rows"] * all_rows)
+
+
+@cli_fuzz
+@given(param=_PARAM, value=_NUMBERS, q=_NUMBERS, n_max=st.integers(-2, 40))
+def test_cli_shape_exits_by_contract(param, value, q, n_max):
+    _run_cli(["shape", _opt(param, value), _opt("q", q), _opt("n-max", n_max)])
+
+
+@cli_fuzz
+@given(
+    param=_PARAM, value=_NUMBERS, q=_NUMBERS, n=st.integers(-2, 60), count=st.integers(-2, 40),
+    seed=st.integers(-2**70, 2**70), threads=st.sampled_from([None, 1, 2]),
+    bins=st.integers(-3, 20),
+)
+def test_cli_simulate_exits_by_contract(param, value, q, n, count, seed, threads, bins):
+    argv = ["simulate", _opt(param, value), _opt("q", q), _opt("n", n), _opt("count", count),
+            _opt("seed", seed), _opt("bins", bins)]
+    _run_cli(argv + ([_opt("threads", threads)] if threads else []))
+
+
+@cli_fuzz
+@given(a=_NUMBERS, n_max=st.integers(-2, 60))
+def test_cli_moments_exits_by_contract(a, n_max):
+    _run_cli(["moments", _opt("a", a), _opt("n-max", n_max)])
+
+
+@cli_fuzz
+@given(a=_NUMBERS | _grids())
+def test_cli_rho_exits_by_contract(a):
+    _run_cli(["rho", _opt("grid" if isinstance(a, str) else "a", a)])
+
+
+@cli_fuzz
+@given(a=_NUMBERS, grid=st.none() | _grids())
+def test_cli_limit_exits_by_contract(a, grid):
+    _run_cli(["limit", _opt("a", a)] + ([_opt("grid", grid)] if grid else []))
+
+
+@cli_fuzz
+@given(a=_NUMBERS, q=_NUMBERS, n=st.integers(-2, 80), grid=st.none() | _grids())
+def test_cli_tails_exits_by_contract(a, q, n, grid):
+    argv = ["tails", _opt("a", a), _opt("q", q), _opt("n", n)]
+    _run_cli(argv + ([_opt("grid", grid)] if grid else []))
+
+
+@cli_fuzz
+@given(
+    fn=st.sampled_from(
+        [("gamma_ln", 0), ("hyp2f1", 3), ("mittag_leffler", 1), ("prabhakar", 3), ("f", 1),
+         ("f_inverse", 1)]),
+    params=st.lists(_NUMBERS, min_size=3, max_size=3), z=_NUMBERS,
+    digits=st.sampled_from([0, 0, -1, 30]),
+)
+def test_cli_specfun_exits_by_contract(fn, params, z, digits):
+    # the --params count a function takes; other counts are usage errors
+    # that test_cli pins
+    fn, size = fn
+    params = params[:size]
+    # argparse reads a --params value such as -inf or -1e+300 as an option:
+    # a usage error, exit 2
+    argv = ["specfun", _opt("fn", fn), _opt("z", z), _opt("precision-digits", digits)]
+    _run_cli(argv + (["--params", *map(str, params)] if params else []))

@@ -1,6 +1,6 @@
-import dataclasses
 import hashlib
 import math
+import sys
 import time
 
 import mpmath as mp
@@ -11,8 +11,8 @@ from numpy.testing import assert_allclose
 import oracles
 from erwlab import specfun
 from erwlab.errors import (
-    CancellationError, ConsistencyError, ConvergenceError, ErwLabError, QuadratureError,
-    SeriesOverflowError)
+    CancellationError, ConsistencyError, ConvergenceError, DomainError, ErwLabError,
+    QuadratureError, SeriesOverflowError)
 
 
 class TestGammaLn:
@@ -92,8 +92,8 @@ class TestHyp2F1:
             specfun.hyp2f1(1.0, 1.0, -2.0, 0.5)
         with pytest.raises(ValueError):
             specfun.hyp2f1(1.0, 1.0, 2.0, 1.0)
-        # float() would parse a str alpha, which no check refuses
-        with pytest.raises(TypeError):
+        # float() would parse a str alpha; the intake refuses it
+        with pytest.raises(DomainError):
             specfun.hyp2f1("0.5", 0.3, 1.7, -0.7)
 
 
@@ -530,13 +530,13 @@ class TestFInverse:
 
     def test_refuses_a_best_point_beyond_the_contract(self, monkeypatch):
         # with F known to 1e-6 only, every point stays 3.3e-7 or more from y
-        f_eval = specfun.f_eval
+        f_auto = specfun._f_auto
 
         def coarse(a, x):
-            got = f_eval(a, x)
-            return dataclasses.replace(got, value=round(got.value, 6))
+            value, *rest = f_auto(a, x)
+            return (round(value, 6), *rest)
 
-        monkeypatch.setattr(specfun, "f_eval", coarse)
+        monkeypatch.setattr(specfun, "_f_auto", coarse)
         with pytest.raises(ConvergenceError, match="stayed above"):
             specfun.f_inverse(0.7, 1.0 + 3.3e-7)
 
@@ -546,3 +546,49 @@ class TestFInverse:
         # without its own check f_eval would refuse a = 1.2
         with pytest.raises(ValueError, match="f_inverse requires a in"):
             specfun.f_inverse(1.2, 1.0)
+
+
+class TestDoubleRangeEdges:
+    """Where an intermediate leaves the double range, a typed error; where
+    only a bracket bound does, the value."""
+
+    def test_gamma_ln_beyond_the_double_range(self):
+        with pytest.raises(SeriesOverflowError, match=r"log Gamma\(1e\+308\)"):
+            specfun.gamma_ln(1e308)
+
+    def test_pfaff_scale_beyond_the_double_range(self):
+        with pytest.raises(SeriesOverflowError, match=r"\(1 - z\)\^2 exceeds"):
+            specfun.hyp2f1(-2.0, 1.0, 1.0, -1e308)
+
+    def test_prabhakar_log_gamma_beyond_the_double_range(self):
+        huge = sys.float_info.max
+        for call in (specfun.prabhakar, specfun.prabhakar_ln):
+            with pytest.raises(SeriesOverflowError, match=r"Gamma\(1 \+ 1.79769e\+308 n\) leaves"):
+                call(huge, 1.0, 1.0, 0.5)
+        # Gamma(5e-324) = 2e323: the first term ratio overflows
+        with pytest.raises(SeriesOverflowError, match=r"Gamma\(4.94066e-324 \+ 1 n\) leaves"):
+            specfun.prabhakar(1.0, 5e-324, 1.0, -0.5)
+        # mpmath takes the sum, but the bar on Gamma's argument is infinite
+        with pytest.raises(CancellationError, match="error bound inf"):
+            specfun.prabhakar(huge, 1.0, 1.0, 0.5, precision_digits=30)
+
+    def test_f_inverse_where_a_bracket_bound_overflows(self):
+        # y^(-a) overflows at y = 5e-324; the other bound, ((a+1) y)^(-a/(a+1)), holds
+        a, y = 0.99, 5e-324
+        x = specfun.f_inverse(a, y)
+        assert 0.5 < x / ((a + 1.0) * y) ** (-a / (a + 1.0)) <= 1.0
+        assert abs(specfun.f_eval(a, x).value - y) <= 1e-11
+        # (a+1) y overflows to inf, whose power would read 0 and end the
+        # bracket below its start: a value or a typed error, not ZeroDivisionError
+        try:
+            assert specfun.f_inverse(0.7, sys.float_info.max) > 0.0
+        except ErwLabError:
+            pass
+
+
+@pytest.mark.parametrize("z", [0.3, 1.5, 6.0])
+def test_f_derivative_matches_a_central_difference_of_f(z):
+    # f_inverse's Newton slope shares this formula
+    a, h = 0.7, 1e-5 * z
+    diff = (specfun.f_eval(a, z + h).value - specfun.f_eval(a, z - h).value) / (2.0 * h)
+    assert_allclose(specfun.f_derivative(a, z), diff, rtol=1e-7)

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 
 import oracles
 from erwlab import walk
+from erwlab.errors import DomainError
 
 
 def brute_force_terminal(p, n, q_first=1.0):
@@ -366,7 +367,7 @@ class TestParams:
             assert got.tobytes() == walk.simulate_terminal(plain, 200, 2000, seed=5).tobytes()
         for a in (np.float32(0.8), np.float32(0.6)):
             assert walk.ErwParams.from_a(a) == walk.ErwParams.from_a(float(a))
-        with pytest.raises(TypeError):
+        with pytest.raises(DomainError):
             walk.ErwParams(p="0.8")
 
 
@@ -698,3 +699,9 @@ class TestSimulate:
             walk.simulate_terminal(params, 0, 5, seed=1)
         with pytest.raises(ValueError, match="count must be >= 1"):
             walk.simulate_terminal(params, 5, 0, seed=1)
+
+
+def test_resolve_threads_names_a_bad_environment_value(monkeypatch):
+    monkeypatch.setenv("ERWLAB_THREADS", "abc")
+    with pytest.raises(DomainError, match="ERWLAB_THREADS must be an integer, got 'abc'"):
+        walk.resolve_threads()
