@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -462,6 +463,37 @@ def test_help_smoke(capsys):
             run([cmd, "--help"])
         assert exc.value.code == 0
         assert "--" in capsys.readouterr().out
+
+
+# the options each command's --help lists: the interface a user types
+_HELP_OPTIONS = {
+    "dist": {"--a", "--p", "--q", "--out", "--n-max", "--all-rows"},
+    "shape": {"--a", "--p", "--q", "--out", "--n-max"},
+    "simulate": {"--a", "--p", "--q", "--out", "--n", "--count", "--seed", "--threads", "--bins"},
+    "moments": {"--a", "--n-max", "--out"},
+    "rho": {"--a", "--grid", "--out"},
+    "limit": {"--a", "--grid", "--out"},
+    "tails": {"--a", "--q", "--n", "--grid", "--out"},
+    "specfun": {"--fn", "--params", "--z", "--precision-digits", "--out"},
+    "check": set(),
+}
+
+
+def _help(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_help_lists_every_command_and_its_options(monkeypatch, capsys):
+    # option strings, not help text: argparse's layout changes between Pythons
+    monkeypatch.setenv("COLUMNS", "80")
+    listed = re.findall(r"^    (\w+)  ", _help(["-h"], capsys), flags=re.M)
+    assert listed == list(_HELP_OPTIONS)
+    for cmd, options in _HELP_OPTIONS.items():
+        printed = set(re.findall(r"--[a-z][a-z-]*", _help([cmd, "--help"], capsys)))
+        assert printed == options | {"--help"}, cmd
 
 
 @pytest.mark.parametrize("grid", ["0,inf,2", "-inf,1,3", "0,1.7976931348623157e+308,4"])
