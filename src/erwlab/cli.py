@@ -32,14 +32,6 @@ def _params_from(args):
     return walk.ErwParams(p=args.p, q_first=args.q)
 
 
-def _add_param_opts(sp):
-    one = sp.add_mutually_exclusive_group(required=True)
-    one.add_argument("--a", type=float, help="memory scale a = 2p-1")
-    one.add_argument("--p", type=float, help="memory parameter p")
-    sp.add_argument("--q", type=float, default=1.0, help="first-step parameter (default 1)")
-    sp.add_argument("--out", default="-", help="output path, '-' for stdout")
-
-
 def _grid(spec):
     try:
         lo, hi, points = spec.split(",")
@@ -272,84 +264,94 @@ def cmd_check(args):
     return 0
 
 
-def build_parser():
+# argparse keywords of the options that several commands share
+_SHARED = {
+    "--out": {"default": "-"},
+    "--a": {"type": float},
+    "--q": {"type": float, "default": 1.0},
+    "--n-max": {"type": int, "required": True},
+    "--grid": {"help": "x grid as lo,hi,points"},
+}
+
+
+def _opt(flag, **keywords):
+    return flag, {**_SHARED.get(flag, {}), **keywords}
+
+
+# a list of options is a required group of mutually exclusive ones
+_WALK = (
+    [_opt("--a", help="memory scale a = 2p-1"),
+     _opt("--p", type=float, help="memory parameter p")],
+    _opt("--q", help="first-step parameter (default 1)"),
+    _opt("--out", help="output path, '-' for stdout"),
+)
+
+# command -> (handler, help, options)
+_COMMANDS = {
+    "dist": (cmd_dist, "exact distribution rows as CSV (n,k,s,prob)", (
+        *_WALK, _opt("--n-max", help="evolve rows up to this time"),
+        _opt("--all-rows", action="store_true", help="emit every row, not just the last"))),
+    "shape": (cmd_shape, "unimodality/log-concavity report per row", (*_WALK, _opt("--n-max"))),
+    "simulate": (cmd_simulate, "Monte Carlo samples of n^(-a) S_n", (
+        *_WALK,
+        _opt("--n", type=int, required=True, help="walk length"),
+        _opt("--count", type=int, required=True, help="number of trajectories"),
+        _opt("--seed", type=int, required=True, help="64-bit stream seed"),
+        _opt("--threads", type=int,
+             help="worker threads (default: ERWLAB_THREADS or cpu count, max 4)"),
+        _opt("--bins", type=int, default=0,
+             help="emit a density histogram with this many bins instead of raw samples"))),
+    "moments": (cmd_moments, "scaled moment table as CSV",
+                (_opt("--a", required=True), _opt("--n-max"), _opt("--out"))),
+    "rho": (cmd_rho, "growth-rate constants (JSON for one a, CSV on a grid)",
+            ([_opt("--a"), _opt("--grid", help="lo,hi,points")], _opt("--out"))),
+    "limit": (cmd_limit, "generating functions and residuals over an x-grid", (
+        _opt("--a", required=True),
+        _opt("--grid", help="x grid as lo,hi,points (default spans (0,0.9)/rho)"), _opt("--out"))),
+    "tails": (cmd_tails, "tail asymptotes vs the exact finite-n density", (
+        _opt("--a", required=True), _opt("--q"),
+        _opt("--n", type=int, required=True, help="row used for the exact density column"),
+        _opt("--grid"), _opt("--out"))),
+    "specfun": (cmd_specfun, "evaluate one special function, JSON output", (
+        _opt("--fn", required=True, choices=list(_SPECFUN)),
+        _opt("--params", type=float, nargs="*", default=(),
+             help="leading parameters: none for gamma_ln, alpha beta gamma for hyp2f1 and "
+             "prabhakar, alpha for mittag_leffler, a for f and f_inverse"),
+        _opt("--z", type=float, required=True),
+        _opt("--precision-digits", type=int, default=0,
+             help="0 = double precision, otherwise decimal digits of the high-precision mode "
+             "(mittag_leffler and prabhakar only)"),
+        _opt("--out"))),
+    "check": (cmd_check, "run the full acceptance suite (exit 1 on any failure)", ()),
+}
+
+
+def _add_options(parser, options):
+    for option in options:
+        if isinstance(option, list):
+            _add_options(parser.add_mutually_exclusive_group(required=True), option)
+        else:
+            parser.add_argument(option[0], **option[1])
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
     ap = argparse.ArgumentParser(
         prog="erwlab",
         description="Exact distributions, moments, special functions and tail "
         "laws of the superdiffusive memory walk.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("dist", help="exact distribution rows as CSV (n,k,s,prob)")
-    _add_param_opts(sp)
-    sp.add_argument("--n-max", type=int, required=True, help="evolve rows up to this time")
-    sp.add_argument("--all-rows", action="store_true", help="emit every row, not just the last")
-    sp.set_defaults(func=cmd_dist)
-
-    sp = sub.add_parser("shape", help="unimodality/log-concavity report per row")
-    _add_param_opts(sp)
-    sp.add_argument("--n-max", type=int, required=True)
-    sp.set_defaults(func=cmd_shape)
-
-    sp = sub.add_parser("simulate", help="Monte Carlo samples of n^(-a) S_n")
-    _add_param_opts(sp)
-    sp.add_argument("--n", type=int, required=True, help="walk length")
-    sp.add_argument("--count", type=int, required=True, help="number of trajectories")
-    sp.add_argument("--seed", type=int, required=True, help="64-bit stream seed")
-    sp.add_argument("--threads", type=int, default=None,
-                    help="worker threads (default: ERWLAB_THREADS or cpu count, max 4)")
-    sp.add_argument("--bins", type=int, default=0,
-                    help="emit a density histogram with this many bins instead of raw samples")
-    sp.set_defaults(func=cmd_simulate)
-
-    sp = sub.add_parser("moments", help="scaled moment table as CSV")
-    sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--n-max", type=int, required=True)
-    sp.add_argument("--out", default="-")
-    sp.set_defaults(func=cmd_moments)
-
-    sp = sub.add_parser("rho", help="growth-rate constants (JSON for one a, CSV on a grid)")
-    one = sp.add_mutually_exclusive_group(required=True)
-    one.add_argument("--a", type=float)
-    one.add_argument("--grid", help="lo,hi,points")
-    sp.add_argument("--out", default="-")
-    sp.set_defaults(func=cmd_rho)
-
-    sp = sub.add_parser("limit", help="generating functions and residuals over an x-grid")
-    sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--grid", default=None, help="x grid as lo,hi,points (default spans (0,0.9)/rho)")
-    sp.add_argument("--out", default="-")
-    sp.set_defaults(func=cmd_limit)
-
-    sp = sub.add_parser("tails", help="tail asymptotes vs the exact finite-n density")
-    sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--q", type=float, default=1.0)
-    sp.add_argument("--n", type=int, required=True, help="row used for the exact density column")
-    sp.add_argument("--grid", default=None, help="x grid as lo,hi,points")
-    sp.add_argument("--out", default="-")
-    sp.set_defaults(func=cmd_tails)
-
-    sp = sub.add_parser("specfun", help="evaluate one special function, JSON output")
-    sp.add_argument("--fn", required=True, choices=list(_SPECFUN))
-    sp.add_argument("--params", type=float, nargs="*", default=[],
-                    help="leading parameters: none for gamma_ln, alpha beta gamma for "
-                    "hyp2f1 and prabhakar, alpha for mittag_leffler, a for f and f_inverse")
-    sp.add_argument("--z", type=float, required=True)
-    sp.add_argument("--precision-digits", type=int, default=0,
-                    help="0 = double precision, otherwise decimal digits of the high-precision "
-                    "mode (mittag_leffler and prabhakar only)")
-    sp.add_argument("--out", default="-")
-    sp.set_defaults(func=cmd_specfun)
-
-    sp = sub.add_parser("check", help="run the full acceptance suite (exit 1 on any failure)")
-    sp.set_defaults(func=cmd_check)
-    return ap
-
-
-def main(argv=None):
-    args = build_parser().parse_args(argv)
+    # the top-level parser takes no option but -h, so its first non-option
+    # argument is the command: only that one gets its options
+    chosen = next((arg for arg in argv if not arg.startswith("-")), None)
+    for name, (_, summary, options) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=summary)
+        if name == chosen:
+            _add_options(sp, options)
+    args = ap.parse_args(argv)
     try:
-        return args.func(args)
+        return _COMMANDS[args.command][0](args)
     except ErwLabError as exc:
         print(f"numeric failure in '{args.command}': {exc}", file=sys.stderr)
         return 1
