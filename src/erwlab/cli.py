@@ -9,6 +9,7 @@ failure (any ErwLabError, a refused argument included, named on stderr),
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -350,11 +351,18 @@ def main(argv=None):
         if name == chosen:
             _add_options(sp, options)
     args = ap.parse_args(argv)
+    # before any work, so an unwritable directory costs no computation
+    folder = os.path.dirname(getattr(args, "out", "-"))  # check has no --out
+    if not os.path.isdir(folder or "."):
+        raise SystemExit2(f"--out names a file in {folder!r}, which is not a directory")
     try:
         return _COMMANDS[args.command][0](args)
     except ErwLabError as exc:
         print(f"numeric failure in '{args.command}': {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        # opening, writing or closing the output failed
+        raise SystemExit2(f"cannot write the output: {exc}") from None
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from erwlab import cli, specfun, walk
+from erwlab import cli, moments, specfun, walk
 
 
 def run(argv):
@@ -376,6 +376,31 @@ def test_simulate_checks_bins_before_simulating(monkeypatch, capsys, tmp_path):
     assert exc.value.code == 2
     assert "--bins" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_out_in_no_directory_exits_two_before_any_work(monkeypatch, capsys, tmp_path):
+    def no_table(*args, **kwargs):
+        raise AssertionError("computed before --out was checked")
+
+    monkeypatch.setattr(moments, "moment_sequence", no_table)
+    parent = tmp_path / "f.txt"
+    parent.write_text("kept\n")
+    with pytest.raises(SystemExit) as exc:
+        run(["moments", "--a", "0.7", "--n-max", "5", "--out", str(parent / "x.csv")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --out names a file in {str(parent)!r}, which is not a directory"]
+    assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]
+    assert parent.read_text() == "kept\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_out_that_fails_to_write_exits_two_with_one_line(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["rho", "--a", "0.75", "--out", "/dev/full"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: cannot write the output: [Errno 28] No space left on device"]
 
 
 def test_bad_thread_env_exits_two(monkeypatch, capsys):
