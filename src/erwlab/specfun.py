@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 from ._intake import count, real
 from .errors import (
+    BracketingError,
     CancellationError,
     ConsistencyError,
     ConvergenceError,
@@ -489,6 +490,12 @@ def _upper(base, power):
         return math.inf
 
 
+# F rounds up to about 1e-13 relative (the rounding of 1/a, times ln y) near
+# the double max, so at some a it overflows at the root of the largest y;
+# f_inverse aims no higher than this, 1e-12 below
+_F_TOP = (1.0 - 1e-12) * sys.float_info.max
+
+
 def f_inverse(a, y):
     """The unique x > 0 with F(x) = y, for finite y > 0.
 
@@ -497,29 +504,34 @@ def f_inverse(a, y):
     a = 1/2 it takes few evaluations of F: at most 8 over 200 y spaced
     geometrically on [0.01, 100] at each a in {0.51, 0.55, 0.6, 0.75, 0.9,
     0.99}, but 102 at a = 0.501 (ROADMAP.md, item 10).  Where F cannot be
-    resolved that finely (a within about 1e-3 of 1/2, where the ascending
-    form cancels), the best point seen is returned if it meets the
-    contract 1e-11 * max(1, y), and ConvergenceError is raised otherwise.
+    resolved that finely, the best point seen is returned if it meets the
+    contract |F(x) - y| <= 1e-11 * max(1, y), and the error is raised
+    otherwise.  That happens for a within about 1e-3 of 1/2, where the
+    ascending form cancels (ConvergenceError), and for y from about 1e48 to
+    1e118 on, depending on a, where the bracket is one double wide and F's
+    rounding, about 1e-14 relative, exceeds 50 ulps (BracketingError).  For
+    a at least 1e-5 above 1/2, every finite y > 0 gives a value.
     """
     a = real("f_inverse requires a", a, 0.5, 1.0)
     y = real("f_inverse requires y", y, 0.0, math.inf)
+    target = min(y, _F_TOP)
     # z^(-1/a) - rho^(1/a) < F(z) < min(z^(-1/a), z^(-1-1/a)/(a+1)): bound
     # (1+u^2)^(-1/2) by 1 and by 1/u; the left side is the rho_integral identity
-    lo = (y + rho_root(a)) ** (-a)
-    hi = min(_upper((a + 1.0) * y, -a / (a + 1.0)), _upper(y, -a))
+    lo = (target + rho_root(a)) ** (-a)
+    hi = min(_upper((a + 1.0) * target, -a / (a + 1.0)), _upper(target, -a))
 
     best = [lo, math.inf]
 
     def fres(x):
-        r = _f_auto(a, x)[0] - y
-        if abs(r) < best[1]:
-            best[:] = [x, abs(r)]
-        return r
+        value = _f_auto(a, x)[0]
+        if abs(value - y) < best[1]:
+            best[:] = [x, abs(value - y)]
+        return value - target
 
     try:
         return bisect_newton(fres, lambda x: _f_slope(a, x), lo, hi, 50.0 * _EPS * max(1.0, y))
-    except ConvergenceError:
-        # f_eval rounds above 50 ulps: the best point seen may still meet the contract
+    except (ConvergenceError, BracketingError):
+        # F rounds above 50 ulps: the best point seen may still meet the contract
         if best[1] <= 1e-11 * max(1.0, y):
             return best[0]
         raise

@@ -41,6 +41,13 @@ class TestGenFun:
         assert abs(g.b / x - 1.0) < 1e-3
         assert abs(g.m - 1.0) < 1e-3
 
+    @pytest.mark.parametrize("a, x", [(0.9, 1e-66), (0.55, 1e-56)])
+    def test_far_below_the_radius(self, a, x):
+        # G there inverts F at y beyond 1e70, where f_inverse's bracket is one double
+        g = limitlaw.genfun(a, x)
+        assert abs(g.b / x - 1.0) < 1e-12
+        assert abs(g.m - 1.0) < 1e-12
+
     def test_divergence_at_radius(self):
         a = 2.0 / 3.0
         r = moments.rho(a)

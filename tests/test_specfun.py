@@ -11,8 +11,8 @@ from numpy.testing import assert_allclose
 import oracles
 from erwlab import specfun
 from erwlab.errors import (
-    CancellationError, ConsistencyError, ConvergenceError, DomainError, ErwLabError,
-    QuadratureError, SeriesOverflowError)
+    BracketingError, CancellationError, ConsistencyError, ConvergenceError, DomainError,
+    ErwLabError, QuadratureError, SeriesOverflowError)
 
 
 class TestGammaLn:
@@ -539,6 +539,27 @@ class TestFInverse:
         monkeypatch.setattr(specfun, "_f_auto", coarse)
         with pytest.raises(ConvergenceError, match="stayed above"):
             specfun.f_inverse(0.7, 1.0 + 3.3e-7)
+
+    @pytest.mark.parametrize("a", [0.55, 0.7, 0.9])
+    def test_contract_up_to_the_double_max(self, a):
+        # above about 1e70 both bracket ends round to one double and F's
+        # rounding there exceeds 50 ulps; at the double max F itself would
+        # overflow at the root for some a
+        for y in [10.0**k for k in range(0, 309, 2)] + [sys.float_info.max]:
+            x = specfun.f_inverse(a, y)
+            assert abs(specfun.f_eval(a, x).value - y) <= 1e-11 * y, y
+
+    def test_refuses_a_collapsed_bracket_beyond_the_contract(self, monkeypatch):
+        # at y = 1e300 the bracket is one double; F off by 1e-10 misses the contract there
+        f_auto = specfun._f_auto
+
+        def biased(a, x):
+            value, *rest = f_auto(a, x)
+            return (value * (1.0 + 1e-10), *rest)
+
+        monkeypatch.setattr(specfun, "_f_auto", biased)
+        with pytest.raises(BracketingError, match="no sign change"):
+            specfun.f_inverse(0.7, 1e300)
 
     def test_domain(self):
         with pytest.raises(ValueError, match="f_inverse requires y > 0"):
