@@ -507,10 +507,11 @@ def f_inverse(a, y):
     resolved that finely, the best point seen is returned if it meets the
     contract |F(x) - y| <= 1e-11 * max(1, y), and the error is raised
     otherwise.  That happens for a within about 1e-3 of 1/2, where the
-    ascending form cancels (ConvergenceError), and for y from about 1e48 to
-    1e118 on, depending on a, where the bracket is one double wide and F's
-    rounding, about 1e-14 relative, exceeds 50 ulps (BracketingError).  For
-    a at least 1e-5 above 1/2, every finite y > 0 gives a value.
+    ascending form cancels (ConvergenceError), and for y from 1e47 to 1e245
+    on, depending on a, where the bracket is one double wide and F's
+    rounding, 1.1e-14 to 7.2e-14 relative, exceeds 50 ulps
+    (BracketingError).  For a at least 1e-5 above 1/2, every finite y > 0
+    gives a value.
     """
     a = real("f_inverse requires a", a, 0.5, 1.0)
     y = real("f_inverse requires y", y, 0.0, math.inf)

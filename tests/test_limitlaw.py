@@ -43,7 +43,7 @@ class TestGenFun:
 
     @pytest.mark.parametrize("a, x", [(0.9, 1e-66), (0.55, 1e-56)])
     def test_far_below_the_radius(self, a, x):
-        # G there inverts F at y beyond 1e70, where f_inverse's bracket is one double
+        # G inverts F at y = x^(-1/a), here 1e73 and 1e102, where f_inverse's bracket is one double
         g = limitlaw.genfun(a, x)
         assert abs(g.b / x - 1.0) < 1e-12
         assert abs(g.m - 1.0) < 1e-12

@@ -542,9 +542,9 @@ class TestFInverse:
 
     @pytest.mark.parametrize("a", [0.55, 0.7, 0.9])
     def test_contract_up_to_the_double_max(self, a):
-        # above about 1e70 both bracket ends round to one double and F's
-        # rounding there exceeds 50 ulps; at the double max F itself would
-        # overflow at the root for some a
+        # from 1e47 to 1e245 on, depending on a, both bracket ends round to
+        # one double and F's rounding there exceeds 50 ulps; at the double
+        # max F itself would overflow at the root for some a
         for y in [10.0**k for k in range(0, 309, 2)] + [sys.float_info.max]:
             x = specfun.f_inverse(a, y)
             assert abs(specfun.f_eval(a, x).value - y) <= 1e-11 * y, y
