@@ -73,7 +73,6 @@ def cmd_dist(args):
         entries,
         meta={"command": "dist", "p": params.p, "q_first": params.q_first, "n_max": args.n_max},
     )
-    return 0
 
 
 def cmd_shape(args):
@@ -97,7 +96,6 @@ def cmd_shape(args):
         reports(walk.iter_rows(params, args.n_max)),
         meta={"command": "shape", "p": params.p, "q_first": params.q_first, "n_max": args.n_max},
     )
-    return 0
 
 
 def cmd_simulate(args):
@@ -126,7 +124,6 @@ def cmd_simulate(args):
         values = samples.tolist()
         text = {v: fmt(v) for v in set(values)}
         write_csv(args.out, ("sample",), zip(map(text.__getitem__, values)), meta=meta)
-    return 0
 
 
 def cmd_moments(args):
@@ -144,7 +141,6 @@ def cmd_moments(args):
         rows,
         meta={"command": "moments", "a": a, "n_max": args.n_max, "rho": table.rho},
     )
-    return 0
 
 
 def cmd_rho(args):
@@ -160,7 +156,7 @@ def cmd_rho(args):
             rows,
             meta={"command": "rho", "grid": args.grid},
         )
-        return 0
+        return
     ctx = moments.context(args.a)
     write_json(
         args.out,
@@ -175,7 +171,6 @@ def cmd_rho(args):
         },
         meta={"command": "rho", "a": args.a},
     )
-    return 0
 
 
 def cmd_limit(args):
@@ -193,7 +188,6 @@ def cmd_limit(args):
         rows,
         meta={"command": "limit", "a": a, "rho": r},
     )
-    return 0
 
 
 def cmd_tails(args):
@@ -219,7 +213,6 @@ def cmd_tails(args):
         rows,
         meta={"command": "tails", "a": a, "q_first": args.q, "n": args.n},
     )
-    return 0
 
 
 # --fn -> (number of --params, whether it has a high-precision mode,
@@ -246,7 +239,6 @@ def cmd_specfun(args):
         raise SystemExit2(f"--fn {args.fn} has no high-precision mode: --precision-digits must be 0")
     out = evaluate(args.params, args.z, args.precision_digits)
     write_json(args.out, out, meta={"command": "specfun", "fn": args.fn, "z": args.z})
-    return 0
 
 
 def cmd_check(args):
@@ -262,7 +254,6 @@ def cmd_check(args):
     if failed:
         print(f"FAILED criteria: {', '.join(failed)}", file=sys.stderr)
         return 1
-    return 0
 
 
 # argparse keywords of the options that several commands share
@@ -356,7 +347,8 @@ def main(argv=None):
     if not os.path.isdir(folder or "."):
         raise SystemExit2(f"--out names a file in {folder!r}, which is not a directory")
     try:
-        return _COMMANDS[args.command][0](args)
+        # a handler returns an exit code only when it is not 0
+        return _COMMANDS[args.command][0](args) or 0
     except ErwLabError as exc:
         print(f"numeric failure in '{args.command}': {exc}", file=sys.stderr)
         return 1
