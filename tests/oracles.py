@@ -8,7 +8,8 @@ import math
 import mpmath as mp
 import numpy as np
 
-from erwlab import limitlaw, moments, walk
+from erwlab import limitlaw, moments, specfun, walk
+from erwlab.errors import CancellationError, ConvergenceError, SeriesOverflowError
 
 REF_DIGITS = 60
 
@@ -38,6 +39,46 @@ def prabhakar(alpha, beta, gamma_p, z, dps=REF_DIGITS):
                 coef *= zz * (ga + n) / (n + 1)
             lost = int(mp.ceil(mp.log10(largest / abs(total))))
     return total
+
+
+def prabhakar_hp_reference(alpha, beta, gamma_p, z, digits):
+    """SeriesEval of prabhakar(alpha, beta, gamma_p, z, precision_digits=digits), or its
+    typed error, summed term by term in mpf: the former loop of specfun._prabhakar_hp,
+    kept as the oracle for its fixed-point form."""
+    ln_u = math.log(abs(z)) / alpha if z != 0.0 else -math.inf
+    if ln_u > math.log(alpha * specfun._HP_MAX_TERMS):
+        raise ConvergenceError(f"high-precision series at z={z:g} peaks beyond the cap")
+    work = digits + 10 + (math.ceil(math.exp(ln_u) / math.log(10.0)) if z < 0.0 else 0)
+    for attempt in range(2):
+        with mp.workdps(work):
+            al, be, ga, zz = mp.mpf(alpha), mp.mpf(beta), mp.mpf(gamma_p), mp.mpf(z)
+            cut = mp.mpf(10) ** (-(digits + 5))
+            coef = mp.mpf(1)
+            total = largest = mp.mpf(0)
+            n = 0
+            while True:
+                term = coef / mp.gamma(be + al * n)
+                total += term
+                size = abs(term)
+                largest = max(largest, size)
+                if n > 4 and size < cut * abs(total):
+                    break
+                coef *= zz * (ga + n) / (n + 1)
+                n += 1
+                if n > specfun._HP_MAX_TERMS:
+                    raise ConvergenceError("high-precision Prabhakar series stalled")
+            x = beta + alpha * n
+            err = largest * mp.eps * (n + 1) * (5 * n + x * abs(math.log(x)) + 8) + size
+            allowed = abs(total) * mp.mpf(10) ** (-digits)
+            if err <= allowed:
+                value = float(total)
+                if math.isinf(value):
+                    raise SeriesOverflowError(f"E^g_ab({z:g}) overflows double")
+                bar = math.nextafter(float(err + abs(total - value)), math.inf)
+                return specfun.SeriesEval(value, bar, n + 1, "series-hp")
+            if attempt or not mp.isfinite(err):
+                raise CancellationError(f"high-precision series at z={z:g} misses its digits")
+            work += math.ceil(mp.log10(err / allowed)) + 2
 
 
 def rho(a, dps=40):

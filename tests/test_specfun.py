@@ -97,6 +97,15 @@ class TestHyp2F1:
             specfun.hyp2f1("0.5", 0.3, 1.7, -0.7)
 
 
+def _outcome(call, *args):
+    """(value, terms_used, method) of a SeriesEval, or the type of the error raised."""
+    try:
+        got = call(*args)
+    except ErwLabError as exc:
+        return type(exc)
+    return got.value, got.terms_used, got.method
+
+
 def _assert_within_bar(got, ref):
     oracles.assert_within_bar(got.value, got.abs_error_estimate, ref)
     # the bar of a 30-digit sum is the conversion to double, give or take
@@ -240,6 +249,29 @@ class TestPrabhakar:
         monkeypatch.setattr(mp, "log10", lambda x: mp.mpf(-2))
         with pytest.raises(CancellationError, match="even at 50 working digits"):
             specfun.prabhakar(0.75, 1.0, 40.0, -10.0, precision_digits=30)
+
+    def test_high_precision_matches_mpf_reference(self):
+        # seeded points of the 30-digit property's domain at 20, 30 and 40
+        # digits: value, terms and method, or the error type, equal those of
+        # the term-by-term mpf loop.  At (0.75, 1, 40, -10) 20 digits raise
+        # CancellationError after the retry and 30 and 40 digits pass on it
+        rng = np.random.default_rng(3620)
+        points = [(0.75, 1.0, 40.0, -10.0), (0.6, 1.0, 1.0, -(30.0**0.6))]
+        for _ in range(102):
+            alpha, beta, gamma_p, t = (rng.uniform(lo, hi) for lo, hi in
+                                       ((0.4, 1.0), (0.5, 3.0), (0.3, 3.0), (-30.0, 30.0)))
+            points.append((alpha, beta, gamma_p, math.copysign(abs(t) ** alpha, t)))
+        for i, (alpha, beta, gamma_p, z) in enumerate(points):
+            for digits in (20, 30, 40) if i < 2 else ((20, 30, 40)[i % 3],):
+                for call, params in (
+                    (lambda d: specfun.prabhakar(alpha, beta, gamma_p, z, precision_digits=d),
+                     (alpha, beta, gamma_p)),
+                    (lambda d: specfun.mittag_leffler(alpha, z, precision_digits=d),
+                     (alpha, 1.0, 1.0)),
+                ):
+                    want = _outcome(oracles.prabhakar_hp_reference, *params, z, digits)
+                    got = _outcome(call, digits)
+                    assert got == want, (params, z, digits)
 
     @pytest.mark.parametrize("beta", [40.0, 60.0])
     def test_high_precision_tiny_values(self, beta):
