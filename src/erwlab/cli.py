@@ -10,6 +10,7 @@ failure (any ErwLabError, a refused argument included, named on stderr),
 import argparse
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -326,6 +327,13 @@ def _add_options(parser, options):
             parser.add_argument(option[0], **option[1])
 
 
+# argparse reads a token that starts with "-" as an option unless it looks
+# like a negative number to it, which "-2.5e-3" and "-inf" do not: no option
+# of erwlab starts with "-" and a digit, ".", "inf" or "nan", so each such
+# token is a value
+_NEGATIVE_NUMBER = re.compile(r"-(\d|\.\d|inf(inity)?$|nan$)", re.IGNORECASE)
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     ap = argparse.ArgumentParser(
@@ -339,6 +347,7 @@ def main(argv=None):
     chosen = next((arg for arg in argv if not arg.startswith("-")), None)
     for name, (_, summary, options) in _COMMANDS.items():
         sp = sub.add_parser(name, help=summary)
+        sp._negative_number_matcher = _NEGATIVE_NUMBER
         if name == chosen:
             _add_options(sp, options)
     args = ap.parse_args(argv)

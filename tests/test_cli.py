@@ -297,6 +297,17 @@ def test_specfun_json(tmp_path):
     assert abs(float(data["value"]) - math.e) < 1e-12
 
 
+def test_specfun_params_take_every_negative_float(tmp_path, capsys):
+    # argparse alone reads -2.5e-3 and -inf as unknown options and exits 2
+    out = tmp_path / "sf.json"
+    assert run(["specfun", "--fn", "hyp2f1", "--params", "-2.5e-3", "1", "1",
+                "--z", "0.3", "--out", str(out)]) == 0
+    assert float(json.loads(out.read_text())["value"]) == specfun.hyp2f1(-2.5e-3, 1.0, 1.0, 0.3).value
+    # -inf reaches f_eval, whose own DomainError exits 1
+    assert run(["specfun", "--fn", "f", "--params", "-inf", "--z", "0.3"]) == 1
+    assert "f_eval requires a" in capsys.readouterr().err
+
+
 def test_specfun_gamma_ln_method(tmp_path):
     out = tmp_path / "gl.json"
     assert run(["specfun", "--fn", "gamma_ln", "--z", "0.25", "--out", str(out)]) == 0
