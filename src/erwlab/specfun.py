@@ -10,8 +10,8 @@ Everything here is scalar double-precision with explicit error reporting:
   E^gamma_{alpha,beta}(z) = sum (gamma)_n z^n / (n! Gamma(beta+alpha n)),
   each with its own term ratio and one shared compensated summation that
   refuses on its measured cancellation (CancellationError) and beyond the
-  double range (SeriesOverflowError), and one shared mpmath loop whose
-  precision follows its largest term;
+  double range (SeriesOverflowError), and one shared high-precision loop
+  on Python integers, whose precision follows its largest term;
 * the decreasing kernel
   F(z) = (1/a) * int_z^inf du / (u^(1+1/a) sqrt(1+u^2))
   in three mutually checked regimes (2F1 forms in -z^2 and in -1/z^2, both
@@ -52,6 +52,8 @@ _POS_MAX_TERMS = 2_000_000  # term cap of prabhakar_ln and of the positive-axis 
 _TERM_CUT = 1e-17
 # relative cancellation loss beyond which double precision is refused
 _CANCEL_BUDGET = 1e-6
+# bits of the mpmath modes' fixed-point integers below their working precision
+_GUARD_BITS = 20
 
 
 @dataclass(frozen=True)
@@ -259,7 +261,45 @@ def _gamma_overflow(alpha, beta):
     return SeriesOverflowError(f"Gamma({beta:g} + {alpha:g} n) leaves the double range")
 
 
+def _man_exp(x):
+    """(m, e) with the mpf x = m 2^e.  mpf.man_exp drops the sign
+    (mpf(-3.5).man_exp is (7, -1)), so the raw tuple is read."""
+    sign, man, exp, _ = x._mpf_
+    return (-man if sign else man), exp
+
+
+def _fixed(x, bits):
+    """The mpf x as a fixed-point integer: the one nearest x 2^bits.  An
+    integer v at that scale reads back as mp.mpf((v, -bits))."""
+    m, e = _man_exp(x)
+    return _div_round(m, 1, -e - bits)
+
+
+def _div_round(v, d, e):
+    """The integer nearest v / (d 2^e), ties up, for integers v, d > 0 and e."""
+    if e + d.bit_length() > v.bit_length() + 1:
+        return 0  # |v| / (d 2^e) < 1/2, however far below: nothing to shift
+    if e < 0:
+        v <<= -e
+    elif d == 1:
+        return (v + (1 << e >> 1)) >> e
+    else:
+        d <<= e
+    return (2 * v + d) // (2 * d)
+
+
 def _prabhakar_hp(alpha, beta, gamma_p, z, digits):
+    """The mpmath mode of prabhakar, on Python integers.
+
+    The coefficient (gamma)_n z^n / n! is carried as cm 2^ce with cm kept to
+    about bits = working bits + _GUARD_BITS: each step multiplies by the exact
+    rational z (gamma + n) / (n + 1) of the double inputs and floors once, a
+    relative error of 2^(1-bits).  Each term, coefficient / mp.gamma(beta +
+    alpha n), is rounded once to the scale 2^-bits of the first term.  After
+    n steps that is at most n + 1 units of the scale and n 2^(1-bits) of the
+    largest term, 2^-_GUARD_BITS of the n^2 eps of the largest term the bar
+    charges.
+    """
     import mpmath as mp
 
     # the terms peak near n = |z|^(1/alpha) / alpha at about exp(|z|^(1/alpha))
@@ -269,24 +309,35 @@ def _prabhakar_hp(alpha, beta, gamma_p, z, digits):
             f"high-precision series at z={z:g} peaks beyond {_HP_MAX_TERMS} terms"
         )
     work = digits + 10 + (math.ceil(math.exp(ln_u) / math.log(10.0)) if z < 0.0 else 0)
+    # z (gamma + n) / (n + 1) = zn (gn + n gd) / ((n + 1) 2^shift), as zd and gd are powers of 2
+    zn, zd = z.as_integer_ratio()
+    gn, gd = gamma_p.as_integer_ratio()
+    shift = (zd * gd).bit_length() - 1
+    cut = 10 ** (digits + 5)
     for attempt in range(2):
         with mp.workdps(work):
-            al, be, ga, zz = mp.mpf(alpha), mp.mpf(beta), mp.mpf(gamma_p), mp.mpf(z)
-            cut = mp.mpf(10) ** (-(digits + 5))
-            coef = mp.mpf(1)  # (gamma)_n z^n / n!
-            total = largest = mp.mpf(0)
-            n = 0
+            al, be = mp.mpf(alpha), mp.mpf(beta)
+            bits = mp.mp.prec + _GUARD_BITS
+            gm, ge = _man_exp(mp.gamma(be))
+            scale = bits + ge + gm.bit_length()  # 1/Gamma(beta) 2^scale has bits bits
+            cm, ce = 1 << bits, -bits
+            total = largest = n = 0
             while True:
-                term = coef / mp.gamma(be + al * n)
+                term = _div_round(cm, gm, ge - ce - scale)
                 total += term
                 size = abs(term)
                 largest = max(largest, size)
-                if n > 4 and size < cut * abs(total):
+                if n > 4 and size * cut < abs(total):
                     break
-                coef *= zz * (ga + n) / (n + 1)
+                step = cm * zn * (gn + n * gd)
+                drop = max(step.bit_length() - bits - n.bit_length() - 1, 0)
+                cm = (step >> drop) // (n + 1)
+                ce += drop - shift
                 n += 1
                 if n > _HP_MAX_TERMS:
                     raise ConvergenceError("high-precision Prabhakar series stalled")
+                gm, ge = _man_exp(mp.gamma(be + al * n))
+            total, largest, size = (mp.mpf((v, -scale)) for v in (total, largest, size))
             # term k carries about 4k roundings from its coefficient and
             # x |ln x| from Gamma's argument x, each partial sum at most
             # n + 1 terms: bound them all by the largest term
@@ -406,8 +457,10 @@ def _f_series(a, z):
     return scale * h, err, terms, "series"
 
 
-def _f_hyp(a, z):
-    rr = rho_root(a)
+def _f_hyp(a, z, rr=None):
+    # rr = rho_root(a), which f_inverse takes once for all its evaluations
+    if rr is None:
+        rr = rho_root(a)
     # c lies in (0, 1/2) for a in (1/2, 1), so _hyp2f1 needs no check
     c = 1.0 - 0.5 / a
     h, h_bar, terms, _ = _hyp2f1(0.5, -0.5 / a, c, -z * z)
@@ -419,15 +472,16 @@ def _f_hyp(a, z):
     return value, err, terms, "hypergeometric"
 
 
-def _f_auto(a, z):
-    """f_eval's auto branch on checked floats, as (value, bar, terms, method)."""
+def _f_auto(a, z, rr=None):
+    """f_eval's auto branch on checked floats, as (value, bar, terms, method);
+    rr is rho_root(a) where the caller has it."""
     # z^(-1/a) - rho^(1/a) < F(z) < z^(-1/a) (see f_inverse), so F is past
     # the double range exactly when z^(-1/a) is, up to a unit roundoff
     _f_in_range(a, z)
-    primary = _f_series(a, z) if z > 1.1 else _f_hyp(a, z)
+    primary = _f_series(a, z) if z > 1.1 else _f_hyp(a, z, rr)
     if 1.02 <= z <= 1.2:
         value, bar = primary[:2]
-        other, other_bar = (_f_hyp(a, z) if z > 1.1 else _f_series(a, z))[:2]
+        other, other_bar = (_f_hyp(a, z, rr) if z > 1.1 else _f_series(a, z))[:2]
         if abs(value - other) > bar + other_bar:
             raise ConsistencyError(
                 f"F regimes disagree at a={a:g}, z={z:g}: {value!r} vs {other!r}"
@@ -518,13 +572,14 @@ def f_inverse(a, y):
     target = min(y, _F_TOP)
     # z^(-1/a) - rho^(1/a) < F(z) < min(z^(-1/a), z^(-1-1/a)/(a+1)): bound
     # (1+u^2)^(-1/2) by 1 and by 1/u; the left side is the rho_integral identity
-    lo = (target + rho_root(a)) ** (-a)
+    rr = rho_root(a)
+    lo = (target + rr) ** (-a)
     hi = min(_upper((a + 1.0) * target, -a / (a + 1.0)), _upper(target, -a))
 
     best = [lo, math.inf]
 
     def fres(x):
-        value = _f_auto(a, x)[0]
+        value = _f_auto(a, x, rr)[0]
         if abs(value - y) < best[1]:
             best[:] = [x, abs(value - y)]
         return value - target

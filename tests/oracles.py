@@ -216,7 +216,8 @@ def psi_mgf_sums(a, r, digits):
     with mp.workdps(digits + 10):
         aa = mp.mpf(a)
         rho_mp = rho(a, digits + 10)
-        mt = list(itertools.islice(limitlaw._moments_hp(aa, rho_mp), n_max + 1))
+        bits = mp.mp.prec + specfun._GUARD_BITS
+        mt = [mp.mpf((m, -bits)) for m in itertools.islice(limitlaw._moments_hp(a, rho_mp, bits), n_max + 1)]
         rr = mp.mpf(r)
         b = [mt[n] / mp.gamma(1 + aa * n) for n in range(n_max + 1)]
         psi = mp.fsum(b[n] * (rho_mp * rr) ** n for n in range(n_max + 1))

@@ -241,6 +241,14 @@ class TestPsiMgf:
         with pytest.raises(ConvergenceError):
             limitlaw._psi_mgf_hp(0.75, 1.0, 30, 10)
 
+    def test_hp_cap_grows_with_the_digits(self):
+        # at 120 digits the sums at (0.6, -5) take 469 terms, past the
+        # 3 peak + 256 = 461 of the double-precision table
+        v = limitlaw.psi_mgf(0.6, -5.0, precision_digits=120)
+        psi, omega = oracles.psi_mgf_sums(0.6, -5.0, 140)[:2]
+        oracles.assert_within_bar(v.psi, v.error_estimate, psi)
+        oracles.assert_within_bar(v.omega, v.omega_error_estimate, omega)
+
     def test_omega_bar_covers_reference(self):
         # no slack term: the bar alone covers the error, which at (0.6, 1)
         # is 3.1 eps |omega|, mostly the table m_n / rho^n's n eps
@@ -254,7 +262,8 @@ class TestPsiMgf:
         with mp.workdps(digits + 10):
             aa = mp.mpf(a)
             rho_mp = mp.mpf(moments.rho(a))
-            got = list(itertools.islice(limitlaw._moments_hp(aa, rho_mp), n_max + 1))
+            bits = mp.mp.prec + specfun._GUARD_BITS
+            got = [mp.mpf((m, -bits)) for m in itertools.islice(limitlaw._moments_hp(a, rho_mp, bits), n_max + 1)]
             want = oracles.moments_hp_reference(aa, rho_mp, n_max)
             assert len(got) == len(want) == n_max + 1
             worst = max(abs(g - w) / abs(w) for g, w in zip(got, want))

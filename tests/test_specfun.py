@@ -253,16 +253,18 @@ class TestPrabhakar:
     def test_high_precision_matches_mpf_reference(self):
         # seeded points of the 30-digit property's domain at 20, 30 and 40
         # digits: value, terms and method, or the error type, equal those of
-        # the term-by-term mpf loop.  At (0.75, 1, 40, -10) 20 digits raise
-        # CancellationError after the retry and 30 and 40 digits pass on it
+        # the term-by-term mpf loop.  At (0.75, 1, 40, -10) the first pass
+        # misses and the retry passes, at (0.75, 1, 50, -10) 20 digits raise
+        # CancellationError after the retry
         rng = np.random.default_rng(3620)
-        points = [(0.75, 1.0, 40.0, -10.0), (0.6, 1.0, 1.0, -(30.0**0.6))]
-        for _ in range(102):
+        points = [(0.75, 1.0, 40.0, -10.0, (30, 40)), (0.75, 1.0, 50.0, -10.0, (20,)),
+                  (0.6, 1.0, 1.0, -(30.0**0.6), (20, 30, 40))]
+        for i in range(102):
             alpha, beta, gamma_p, t = (rng.uniform(lo, hi) for lo, hi in
                                        ((0.4, 1.0), (0.5, 3.0), (0.3, 3.0), (-30.0, 30.0)))
-            points.append((alpha, beta, gamma_p, math.copysign(abs(t) ** alpha, t)))
-        for i, (alpha, beta, gamma_p, z) in enumerate(points):
-            for digits in (20, 30, 40) if i < 2 else ((20, 30, 40)[i % 3],):
+            points.append((alpha, beta, gamma_p, math.copysign(abs(t) ** alpha, t), ((20, 30, 40)[i % 3],)))
+        for alpha, beta, gamma_p, z, digit_set in points:
+            for digits in digit_set:
                 for call, params in (
                     (lambda d: specfun.prabhakar(alpha, beta, gamma_p, z, precision_digits=d),
                      (alpha, beta, gamma_p)),
@@ -272,6 +274,16 @@ class TestPrabhakar:
                     want = _outcome(oracles.prabhakar_hp_reference, *params, z, digits)
                     got = _outcome(call, digits)
                     assert got == want, (params, z, digits)
+
+    def test_high_precision_first_pass_measures_the_cancellation(self):
+        # at 20 digits the mpf loop's 40-digit first pass keeps no digit of
+        # the value, so its retry carries too few digits and raises; the
+        # fixed-point first pass resolves the value, and the retry it sets
+        # meets the 20 digits
+        with pytest.raises(CancellationError):
+            oracles.prabhakar_hp_reference(0.75, 1.0, 40.0, -10.0, 20)
+        got = specfun.prabhakar(0.75, 1.0, 40.0, -10.0, precision_digits=20)
+        _assert_within_bar(got, oracles.prabhakar(0.75, 1.0, 40.0, -10.0))
 
     @pytest.mark.parametrize("beta", [40.0, 60.0])
     def test_high_precision_tiny_values(self, beta):
@@ -564,8 +576,8 @@ class TestFInverse:
         # with F known to 1e-6 only, every point stays 3.3e-7 or more from y
         f_auto = specfun._f_auto
 
-        def coarse(a, x):
-            value, *rest = f_auto(a, x)
+        def coarse(a, x, *rr):
+            value, *rest = f_auto(a, x, *rr)
             return (round(value, 6), *rest)
 
         monkeypatch.setattr(specfun, "_f_auto", coarse)
@@ -585,8 +597,8 @@ class TestFInverse:
         # at y = 1e300 the bracket is one double; F off by 1e-10 misses the contract there
         f_auto = specfun._f_auto
 
-        def biased(a, x):
-            value, *rest = f_auto(a, x)
+        def biased(a, x, *rr):
+            value, *rest = f_auto(a, x, *rr)
             return (value * (1.0 + 1e-10), *rest)
 
         monkeypatch.setattr(specfun, "_f_auto", biased)
