@@ -29,8 +29,8 @@ from ._intake import count, real
 from .errors import CancellationError, ConvergenceError, DomainError, SeriesOverflowError
 from .moments import moment_sequence, rho
 from .specfun import (
-    _EPS, _GUARD_BITS, _LOG_MAX, _check_cancellation, _div_round, _fixed, _man_exp, f_eval,
-    f_inverse, gamma_ln, rho_root,
+    _EPS, _GUARD_BITS, _LOG_MAX, _check_cancellation, _div_round, _fixed, f_eval, f_inverse,
+    gamma_ln, rho_root,
 )
 
 _H_FIRST = _EPS ** (1.0 / 3.0)
@@ -309,7 +309,7 @@ def _psi_mgf_hp(a, r, digits, n_max):
         px = pr = 1 << bits
         pr1 = pr2 = 0  # (rho r)^n, r^n, r^(n-1), r^(n-2)
         for n, m in enumerate(_moments_hp(a, rho_mp, bits)):
-            gm, ge = _man_exp(mp.gamma(1 + aa * n))
+            gm, ge = mp.gamma(1 + aa * n).man_exp
             # twice Gamma(1 + a n) 2^bits, an integer as Gamma > 1/2: each term
             # m_n p / (Gamma 2^bits) is rounded once, to nearest
             d = gm << (ge + bits + 1)
@@ -349,7 +349,7 @@ def _moments_hp(a, rho_mp, bits):
     of 2^-bits after n steps, and the moments lie between 0.06 (m_1 at
     a = 0.501) and 1.9 (a = 10), so a unit is within 4 bits of an ulp."""
     an, ad = a.as_integer_ratio()
-    mt = [1 << bits, _div_round(1 << bits, *_man_exp(rho_mp))]
+    mt = [1 << bits, _div_round(1 << bits, *rho_mp.man_exp)]
     cm = [ad * mt[0], an * mt[1]]  # c_i m_i ad 2^bits, exact
     yield from mt
     for n in itertools.count(2):

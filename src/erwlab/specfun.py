@@ -261,18 +261,12 @@ def _gamma_overflow(alpha, beta):
     return SeriesOverflowError(f"Gamma({beta:g} + {alpha:g} n) leaves the double range")
 
 
-def _man_exp(x):
-    """(m, e) with the mpf x = m 2^e.  mpf.man_exp drops the sign
-    (mpf(-3.5).man_exp is (7, -1)), so the raw tuple is read."""
-    sign, man, exp, _ = x._mpf_
-    return (-man if sign else man), exp
-
-
 def _fixed(x, bits):
     """The mpf x as a fixed-point integer: the one nearest x 2^bits.  An
-    integer v at that scale reads back as mp.mpf((v, -bits))."""
-    m, e = _man_exp(x)
-    return _div_round(m, 1, -e - bits)
+    integer v at that scale reads back as mp.mpf((v, -bits)).  mpf.man_exp
+    drops the sign (mpf(-3.5).man_exp is (7, -1)), so the raw tuple is read."""
+    sign, man, exp, _ = x._mpf_
+    return _div_round(-man if sign else man, 1, -exp - bits)
 
 
 def _div_round(v, d, e):
@@ -281,8 +275,6 @@ def _div_round(v, d, e):
         return 0  # |v| / (d 2^e) < 1/2, however far below: nothing to shift
     if e < 0:
         v <<= -e
-    elif d == 1:
-        return (v + (1 << e >> 1)) >> e
     else:
         d <<= e
     return (2 * v + d) // (2 * d)
@@ -318,7 +310,7 @@ def _prabhakar_hp(alpha, beta, gamma_p, z, digits):
         with mp.workdps(work):
             al, be = mp.mpf(alpha), mp.mpf(beta)
             bits = mp.mp.prec + _GUARD_BITS
-            gm, ge = _man_exp(mp.gamma(be))
+            gm, ge = mp.gamma(be).man_exp
             scale = bits + ge + gm.bit_length()  # 1/Gamma(beta) 2^scale has bits bits
             cm, ce = 1 << bits, -bits
             total = largest = n = 0
@@ -336,7 +328,7 @@ def _prabhakar_hp(alpha, beta, gamma_p, z, digits):
                 n += 1
                 if n > _HP_MAX_TERMS:
                     raise ConvergenceError("high-precision Prabhakar series stalled")
-                gm, ge = _man_exp(mp.gamma(be + al * n))
+                gm, ge = mp.gamma(be + al * n).man_exp
             total, largest, size = (mp.mpf((v, -scale)) for v in (total, largest, size))
             # term k carries about 4k roundings from its coefficient and
             # x |ln x| from Gamma's argument x, each partial sum at most

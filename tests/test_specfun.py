@@ -275,11 +275,11 @@ class TestPrabhakar:
                     got = _outcome(call, digits)
                     assert got == want, (params, z, digits)
 
-    def test_high_precision_first_pass_measures_the_cancellation(self):
-        # at 20 digits the mpf loop's 40-digit first pass keeps no digit of
-        # the value, so its retry carries too few digits and raises; the
-        # fixed-point first pass resolves the value, and the retry it sets
-        # meets the 20 digits
+    def test_high_precision_retry_after_a_first_pass_without_digits(self):
+        # at 20 digits neither 40-digit first pass keeps a digit of the
+        # value, 1.128e-12: the mpf loop reads 1.09e-9 and retries at 68
+        # digits, which miss; the integer loop reads 5.09e-10 and retries
+        # at 69, which meet the 20 digits
         with pytest.raises(CancellationError):
             oracles.prabhakar_hp_reference(0.75, 1.0, 40.0, -10.0, 20)
         got = specfun.prabhakar(0.75, 1.0, 40.0, -10.0, precision_digits=20)
