@@ -180,6 +180,13 @@ def context(a):
     return LimitLawContext(a=a, rho=r, kappa=kappa, delta=delta, c_pos=c_pos, c_neg=c_neg)
 
 
+def _first_correction(ctx, n):
+    """kappa_a (+-1 + (a-1)/(3a+1)), + for even n: the coefficient of
+    (delta)_n / n! in the first correction to the moment asymptote."""
+    sign = 1.0 if n % 2 == 0 else -1.0
+    return ctx.kappa * (sign + (ctx.a - 1.0) / (3.0 * ctx.a + 1.0))
+
+
 def asymptotic_moment_ln(ctx, n, order="leading"):
     """log of the moment asymptote 2a rho^n n! / ((a+1) Gamma(1+an)),
     optionally with the parity-dependent first correction."""
@@ -196,8 +203,7 @@ def asymptotic_moment_ln(ctx, n, order="leading"):
     if order == "first_correction":
         d = ctx.delta
         poch_ratio = math.exp(gamma_ln(d + n) - gamma_ln(d) - gamma_ln(n + 1.0))
-        sign = 1.0 if n % 2 == 0 else -1.0
-        corr = 1.0 + ctx.kappa * poch_ratio * (sign + (a - 1.0) / (3.0 * a + 1.0))
+        corr = 1.0 + _first_correction(ctx, n) * poch_ratio
         if not corr > 0.0:
             raise DomainError(f"asymptotic_moment_ln: correction factor {corr!r} <= 0 at a = {a!r}, n = {n}")
         return ln + math.log(corr)

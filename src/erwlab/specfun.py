@@ -465,11 +465,8 @@ def _f_hyp(a, z, rr=None):
 
 
 def _f_auto(a, z, rr=None):
-    """f_eval's auto branch on checked floats, as (value, bar, terms, method);
+    """f_eval's method 'auto' on checked floats, as (value, bar, terms, method);
     rr is rho_root(a) where the caller has it."""
-    # z^(-1/a) - rho^(1/a) < F(z) < z^(-1/a) (see f_inverse), so F is past
-    # the double range exactly when z^(-1/a) is, up to a unit roundoff
-    _f_in_range(a, z)
     primary = _f_series(a, z) if z > 1.1 else _f_hyp(a, z, rr)
     if 1.02 <= z <= 1.2:
         value, bar = primary[:2]
@@ -482,13 +479,15 @@ def _f_auto(a, z, rr=None):
 
 
 def _f_in_range(a, z):
+    # z^(-1/a) - rho^(1/a) < F(z) < z^(-1/a) (see f_inverse), so F is past
+    # the double range exactly when z^(-1/a) is, up to a unit roundoff
     try:
         z ** (-1.0 / a)
     except OverflowError:
         raise SeriesOverflowError(f"F({z:g}) at a={a:g} exceeds the double range") from None
 
 
-_F_METHODS = {"series": _f_series, "hypergeometric": _f_hyp, "quadrature": _f_quadrature}
+_F_METHODS = dict(auto=_f_auto, series=_f_series, hypergeometric=_f_hyp, quadrature=_f_quadrature)
 
 
 def f_eval(a, z, method="auto"):
@@ -507,8 +506,6 @@ def f_eval(a, z, method="auto"):
     """
     a = real("f_eval requires a", a, 0.5, 1.0)
     z = real("f_eval requires z", z, 0.0, math.inf, "(]")
-    if method == "auto":
-        return SeriesEval(*_f_auto(a, z))
     kernel = _F_METHODS.get(method)
     if kernel is None:
         raise DomainError(f"unknown f_eval method {method!r}")
@@ -570,6 +567,8 @@ def f_inverse(a, y):
 
     best = [lo, math.inf]
 
+    # no _f_in_range check: the steps stay in [lo, hi], where z^(-1/a) <=
+    # lo^(-1/a) ~ target + rho^(1/a), below the double max as target <= _F_TOP
     def fres(x):
         value = _f_auto(a, x, rr)[0]
         if abs(value - y) < best[1]:

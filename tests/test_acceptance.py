@@ -10,6 +10,8 @@ only from about n = 1e4.
 
 import dataclasses
 
+import numpy as np
+
 from erwlab import acceptance, limitlaw, walk
 
 
@@ -35,6 +37,12 @@ def test_run_all_runs_each_criterion_in_order(monkeypatch):
     assert [(r.name, r.passed, r.detail) for r in results] == [
         ("1 stub", True, "fine"), ("2 stub", False, "broken")]
     assert all(r.seconds >= 0.0 for r in results)
+
+
+def test_run_all_passes_python_bools(monkeypatch):
+    # c01 and c06 compare numpy floats; json cannot write a numpy bool
+    monkeypatch.setattr(acceptance, "CRITERIA", (("1 stub", lambda: (np.True_, "fine")),))
+    assert acceptance.run_all()[0].passed is True
 
 
 def test_c03_row_not_unimodal_fails_the_verdict(monkeypatch):

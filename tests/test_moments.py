@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 
@@ -201,7 +202,59 @@ class TestContext:
         assert ctx.c_neg > 0.0 and math.isfinite(ctx.c_neg)
 
 
+_RATE_EVEN = (100, 400, 1600, 6400)
+_RATE_ODD = (101, 401, 1601, 6401)
+
+
+def _first_correction_breaches(ctx, table):
+    """The rules that the residual limit_moment_ln - asymptotic_moment_ln(...,
+    "first_correction") breaks on either parity: 'sign' (> 0 at even n, < 0 at
+    odd n), 'fall' (by at least 0.75 of 4^(2 - 2 delta) per 4x step in n) and
+    'drift' (residual n^(2 - 2 delta) moves by under 20% from n ~ 1600 to 6400).
+
+    Measured on these n at a = 0.6, 2/3, 0.75, 0.9: the falls reach 0.81 of
+    4^(2 - 2 delta) or more (7.41-12.34 against 8.00-13.83), and the drift is
+    +3.2% to +13%, worst at a = 0.9, odd n.
+    """
+    power = 2.0 - 2.0 * ctx.delta
+    breaches = set()
+    for ns, sign in ((_RATE_EVEN, 1.0), (_RATE_ODD, -1.0)):
+        res = [
+            moments.limit_moment_ln(ctx.a, n, table)
+            - moments.asymptotic_moment_ln(ctx, n, "first_correction")
+            for n in ns
+        ]
+        if not all(sign * r > 0.0 for r in res):
+            breaches.add("sign")
+        if not all(r / s >= 0.75 * 4.0**power for r, s in zip(res, res[1:])):
+            breaches.add("fall")
+        if not abs(res[3] * ns[3] ** power / (res[2] * ns[2] ** power) - 1.0) < 0.20:
+            breaches.add("drift")
+    return breaches
+
+
 class TestAsymptoticMoment:
+    @pytest.mark.parametrize("a", [0.6, 2.0 / 3.0, 0.75, 0.9])
+    def test_first_correction_rate(self, a):
+        # the residual after the first correction is O(n^(2 delta - 2)) with
+        # a parity-dependent constant (ROADMAP.md, Settled)
+        table = moments.moment_sequence(a, _RATE_ODD[-1])
+        assert _first_correction_breaches(moments.context(a), table) == set()
+
+    @pytest.mark.parametrize("a", [0.6, 2.0 / 3.0, 0.75, 0.9])
+    def test_rate_check_rejects_wrong_constants(self, a, monkeypatch):
+        # kappa 1% high flips the residual's sign by n = 1600; without the
+        # (a - 1)/(3a + 1) term the residual falls like n^(delta - 1), at
+        # most 0.41 of the rate, and its scaled form grows 2.9-3.8x
+        ctx = moments.context(a)
+        table = moments.moment_sequence(a, _RATE_ODD[-1])
+        high = dataclasses.replace(ctx, kappa=1.01 * ctx.kappa)
+        assert "sign" in _first_correction_breaches(high, table)
+        monkeypatch.setattr(
+            moments, "_first_correction", lambda c, n: c.kappa * (1.0 if n % 2 == 0 else -1.0)
+        )
+        assert {"fall", "drift"} <= _first_correction_breaches(ctx, table)
+
     def test_leading_ratio_tends_to_one(self):
         a = 2.0 / 3.0
         ctx = moments.context(a)

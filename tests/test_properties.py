@@ -4,9 +4,9 @@ round-trip, a CSV's one line format gives fmt's bytes, the public numeric
 calls give a finite value or a typed error at both ends of the window
 a in (1/2, 1) and the bytes of a Python float for a numpy scalar argument,
 every real and count argument refuses a str, a huge int or a non-integer
-count with DomainError, psi_mgf's double-precision sums and the
-Mittag-Leffler and Prabhakar series lie within their bars, and the CLI
-keeps its exit-code contract on odd numeric options.
+count with DomainError, psi_mgf's sums in double precision and in its
+mpmath mode and the Mittag-Leffler and Prabhakar series lie within their
+bars, and the CLI keeps its exit-code contract on odd numeric options.
 
 Examples are derived from the test source (derandomize) and no example
 database is written, so every run checks the same cases.  Hypothesis
@@ -384,6 +384,26 @@ def test_psi_mgf_within_its_bars_or_typed_error(a, r):
     except ErwLabError:
         return
     psi, omega = psi_mgf_sums(a, r, 20)[:2]
+    assert_within_bar(got.psi, got.error_estimate, psi)
+    assert_within_bar(got.omega, got.omega_error_estimate, omega)
+
+
+def _psi_mgf_hp_points():
+    """30 seeded (a, r, digits), a in [0.55, 0.95], r in [-10, 10], the digits
+    cycling through 6, 10, 20, 30 and 40."""
+    rng = np.random.default_rng(3838)
+    a = rng.uniform(0.55, 0.95, 30).tolist()
+    r = rng.uniform(-10.0, 10.0, 30).tolist()
+    return list(zip(a, r, [6, 10, 20, 30, 40] * 6))
+
+
+@pytest.mark.parametrize("a, r, digits", _psi_mgf_hp_points())
+def test_psi_mgf_mpmath_mode_within_its_bars(a, r, digits):
+    # the bar is a flat |sum| 10^(2 - digits) plus half an ulp, not a
+    # measured rounding: at 20 digits and more the half ulp dominates and
+    # the error reaches 0.98 of the bar on these points
+    got = limitlaw.psi_mgf(a, r, precision_digits=digits)
+    psi, omega = psi_mgf_sums(a, r, digits + 20)[:2]
     assert_within_bar(got.psi, got.error_estimate, psi)
     assert_within_bar(got.omega, got.omega_error_estimate, omega)
 
