@@ -245,7 +245,7 @@ class TestAsymptoticMoment:
     def test_rate_check_rejects_wrong_constants(self, a, monkeypatch):
         # kappa 1% high flips the residual's sign by n = 1600; without the
         # (a - 1)/(3a + 1) term the residual falls like n^(delta - 1), at
-        # most 0.41 of the rate, and its scaled form grows 2.9-3.8x
+        # most 0.41 of the rate, and its scaled form grows 2.8-3.8x
         ctx = moments.context(a)
         table = moments.moment_sequence(a, _RATE_ODD[-1])
         high = dataclasses.replace(ctx, kappa=1.01 * ctx.kappa)
